@@ -43,6 +43,7 @@ from .polycone import (
     RAY_ORDER,
     Ray,
     combination,
+    cone_decompositions,
     cone_membership,
     elemental_inequalities,
     face_catalogue,

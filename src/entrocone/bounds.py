@@ -50,25 +50,20 @@ def _require_nonnegative(name: str, value: LogLinear) -> None:
 
 def ray123p_entropic(lam: LogLinear) -> bool:
     """A point on the apex ray is entropic iff the coefficient is log of a
-    natural number (zero counts: log 1)."""
-    _require_nonnegative("ray coefficient", lam)
+    natural number (zero counts: log 1).  The same criterion decides the
+    2-D face with a single-variable ray, whose coefficient is unconstrained."""
+    _require_nonnegative("apex coefficient", lam)
     return lam.as_log_natural() is not None
 
 
-def face_1_123p_entropic(lambda123p: LogLinear) -> bool:
-    """Same criterion on the 2-D face with a single-variable ray; the
-    single-variable coefficient is unconstrained."""
-    _require_nonnegative("apex coefficient", lambda123p)
-    return lambda123p.as_log_natural() is not None
+face_1_123p_entropic = ray123p_entropic
 
 
 def face_12_123p_entropic(lambda12: LogLinear, lambda123p: LogLinear) -> bool:
     """Ceiling criterion on the 2-D face with the pair ray."""
     _require_nonnegative("pair coefficient", lambda12)
     _require_nonnegative("apex coefficient", lambda123p)
-    ceil = lambda123p.pow2_ceil()
-    gap = lambda12 + lambda123p - LogLinear.from_log_int(ceil)
-    return gap.sign() != Sign.NEGATIVE
+    return _ceiling_condition(lambda12, lambda123p).holds
 
 
 @dataclass(frozen=True)

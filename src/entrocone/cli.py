@@ -55,9 +55,11 @@ def parse_vector_json(obj) -> EntropyVector:
         raise DataError("vector file must be an object with 'n' and 'coords'")
     try:
         n = int(obj["n"])
-        order = canonical_order(n)
     except (TypeError, ValueError):
         raise DataError(f"invalid variable count {obj.get('n')!r}") from None
+    if not 1 <= n <= polycone.MAX_VARS:
+        raise DataError(f"variable count {n} outside the supported range 1..{polycone.MAX_VARS}")
+    order = canonical_order(n)
     if "order" in obj:
         expected = [subset_name(a) for a in order]
         if list(obj["order"]) != expected:
@@ -255,15 +257,9 @@ def _cmd_search(args) -> int:
     if not ok:
         _emit({"command": "search", "status": "infeasible_necessary", "witness": witness})
         return EX_FALSE
-    hints: tuple = ()
-    if not args.no_hints:
-        vec = EntropyVector(
-            spec.n, [LogLinear.from_log_int(spec.m[a]) for a in canonical_order(spec.n)]
-        )
-        hints = qusearch.structural_hints(vec)
+    hints = () if args.no_hints else qusearch.structural_hints(spec.vector())
     budget = qusearch.Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
-    workers = 1 if args.deterministic else max(1, args.parallel)
-    outcome = qusearch.search(spec, budget=budget, hints=hints, workers=workers)
+    outcome = qusearch.search(spec, budget=budget, hints=hints, workers=max(1, args.parallel))
     report = {
         "command": "search",
         "status": outcome.status.value,
@@ -345,10 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_file")
     p.add_argument("--budget-nodes", type=int, default=qusearch.Budget().max_nodes)
     p.add_argument("--budget-seconds", type=float, default=qusearch.Budget().max_seconds)
-    p.add_argument("--deterministic", action="store_true", default=True,
-                   help="single-threaded reproducible mode (default)")
     p.add_argument("--parallel", type=int, default=0, metavar="WORKERS",
-                   help="explore subtrees in WORKERS processes (non-deterministic witness)")
+                   help="explore subtrees in WORKERS processes (non-deterministic witness;"
+                        " the default runs one reproducible worker)")
     p.add_argument("--no-hints", action="store_true", help="disable structural hints")
     p.add_argument("--witness-out", metavar="FILE", help="also write the witness PMF to FILE")
     p.set_defaults(func=_cmd_search)
@@ -362,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "parallel", 0) > 1:
-        args.deterministic = False
     try:
         return args.func(args)
     except DataError as exc:

@@ -118,9 +118,6 @@ class JointPMF:
         N = self.common_denominator
         return {x: int(p * N) for x, p in self.mass.items()}
 
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.mass)
-
 
 def marginalize(pmf: JointPMF, alpha: Iterable[int]) -> JointPMF:
     """Marginal PMF over the variables in `alpha` (1-based), in index order."""

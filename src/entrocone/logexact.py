@@ -9,9 +9,11 @@ identical.  That makes equality, and hence zero-testing, purely structural.
 
 Questions the canonical form cannot answer by inspection (the sign of a
 nonzero value, a ceiling, a rounded decimal) are settled by interval
-arithmetic at increasing working precision.  Refinement always terminates:
-zero has been excluded exactly beforehand, so a small enough enclosure must
-separate from the critical point.
+arithmetic at doubling working precision.  Zero has been excluded exactly
+beforehand, so a small enough enclosure separates from the critical point;
+but refinement is capped at ``_PREC_CAP`` bits, and a value too close to
+its critical point to separate below the cap raises
+:class:`PrecisionExhausted` instead of a verdict.
 
 A :class:`LogLinear` value is unit-free.  It stands for ``log x`` of the
 positive real ``x = prod_p p**q_p`` in whatever base the caller prefers;
@@ -35,6 +37,7 @@ __all__ = [
     "LogLinear",
     "PrecisionExhausted",
     "Sign",
+    "dot",
     "from_log_int",
     "from_log_rational",
 ]
@@ -46,8 +49,11 @@ _PREC_CAP = 1 << 16
 class PrecisionExhausted(ArithmeticError):
     """Interval refinement hit the precision cap without resolving.
 
-    Cannot happen for the sign of a nonzero value; guards against misuse of
-    the ceiling/rounding helpers on values they were not meant for.
+    Raised by the sign, ceiling and display routines when an enclosure at
+    ``_PREC_CAP`` bits still straddles the critical point (zero, an integer
+    or a rounding boundary).  No a-priori bound keeps a nonzero value away
+    from zero by more than the cap resolves, so this can happen for
+    adversarial magnitudes.
     """
 
 
@@ -210,22 +216,14 @@ class LogLinear:
 
     # -- exact decision procedures ---------------------------------------
 
-    def _log_enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Rational interval containing ``sum q_p * ln p`` at given precision."""
+    def _enclosure(self, prec: int, antilog: bool = False) -> tuple[Fraction, Fraction]:
+        """Rational interval containing ``sum q_p * ln p`` at given precision,
+        or its antilog ``prod p**q_p``."""
         ctx = _ctx(prec)
         acc = ctx.mpf(0)
         for p, q in self._terms.items():
             acc += ctx.log(ctx.mpf(p)) * (ctx.mpf(q.numerator) / ctx.mpf(q.denominator))
-        lo, hi = acc._mpi_
-        return _raw_to_fraction(lo), _raw_to_fraction(hi)
-
-    def _exp_enclosure(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Rational interval containing the antilog ``prod p**q_p``."""
-        ctx = _ctx(prec)
-        acc = ctx.mpf(0)
-        for p, q in self._terms.items():
-            acc += ctx.log(ctx.mpf(p)) * (ctx.mpf(q.numerator) / ctx.mpf(q.denominator))
-        lo, hi = ctx.exp(acc)._mpi_
+        lo, hi = (ctx.exp(acc) if antilog else acc)._mpi_
         return _raw_to_fraction(lo), _raw_to_fraction(hi)
 
     def sign(self) -> Sign:
@@ -234,16 +232,13 @@ class LogLinear:
             return Sign.ZERO
         prec = _PREC_START
         while prec <= _PREC_CAP:
-            lo, hi = self._log_enclosure(prec)
+            lo, hi = self._enclosure(prec)
             if lo > 0:
                 return Sign.POSITIVE
             if hi < 0:
                 return Sign.NEGATIVE
             prec *= 2
         raise PrecisionExhausted(f"sign of {self!r} unresolved at {_PREC_CAP} bits")
-
-    def is_nonnegative(self) -> bool:
-        return self.sign() != Sign.NEGATIVE
 
     def __lt__(self, other: "LogLinear") -> bool:
         return (self - other).sign() == Sign.NEGATIVE
@@ -286,8 +281,9 @@ class LogLinear:
         With integer coefficients the antilog is an exact rational and the
         ceiling is computed exactly.  Otherwise the antilog is irrational
         (unique factorization forbids rational values with fractional
-        exponents), so no integer boundary can be hit and interval
-        refinement terminates.
+        exponents), so no integer boundary can be hit; interval refinement
+        resolves the ceiling unless the antilog lies too close to an integer
+        for the precision cap, which raises :class:`PrecisionExhausted`.
         """
         if self.sign() == Sign.NEGATIVE:
             raise ValueError("ceiling of an antilog below 1 requested on a negative value")
@@ -296,7 +292,7 @@ class LogLinear:
             return math.ceil(exact)
         prec = _PREC_START
         while prec <= _PREC_CAP:
-            lo, hi = self._exp_enclosure(prec)
+            lo, hi = self._enclosure(prec, antilog=True)
             if math.ceil(lo) == math.ceil(hi):
                 return math.ceil(lo)
             prec *= 2
@@ -328,13 +324,9 @@ class LogLinear:
         ln2 = LogLinear.from_log_int(2)
         prec = _PREC_START
         while prec <= _PREC_CAP:
-            if kind == "exp":
-                lo, hi = self._exp_enclosure(prec)
-            elif kind == "ln":
-                lo, hi = self._log_enclosure(prec)
-            else:  # bits: divide the natural-log enclosure by an ln 2 enclosure
-                lo, hi = self._log_enclosure(prec)
-                dlo, dhi = ln2._log_enclosure(prec)
+            lo, hi = self._enclosure(prec, antilog=kind == "exp")
+            if kind == "bits":  # divide the natural-log enclosure by an ln 2 enclosure
+                dlo, dhi = ln2._enclosure(prec)
                 bounds = [lo / dlo, lo / dhi, hi / dlo, hi / dhi]
                 lo, hi = min(bounds), max(bounds)
             nlo = math.floor(lo * scalepow + Fraction(1, 2))

@@ -13,7 +13,7 @@ primes, and the generators have integer entries, a decomposition
 ``h = sum_j lambda_j e_j`` splits into one rational linear system per
 prime.  By Caratheodory it suffices to examine maximal linearly
 independent subsets of the generators, whose square systems have unique
-solutions, so feasibility is decided by exhaustive exact solves over a
+solutions, so feasibility is decided by exact solves over all of them in a
 fixed subset order - no LP machinery, and certificates are exact.
 
 Strictness (relative interior) is decided through tight sets: the minimal
@@ -29,11 +29,11 @@ from enum import Enum, unique
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .distributions import EntropyVector
-from .logexact import LogLinear, Sign
-from .subsets import Subset, canonical_order, subset_index_map, subset_name
+from .logexact import LogLinear, Sign, dot
+from .subsets import subset_index_map, subset_name
 
 __all__ = [
     "ConicCertificate",
@@ -42,9 +42,11 @@ __all__ = [
     "FaceSpec",
     "GammaVerdict",
     "LinearFunctional",
+    "MAX_VARS",
     "RAY_ORDER",
     "Ray",
     "combination",
+    "cone_decompositions",
     "cone_membership",
     "elemental_inequalities",
     "face_catalogue",
@@ -57,7 +59,7 @@ __all__ = [
     "variable_permutations",
 ]
 
-_MAX_VARS = 6  # desk-scale cap for elemental inequality generation
+MAX_VARS = 6  # desk-scale cap for elemental inequality generation
 
 
 @unique
@@ -141,11 +143,7 @@ class LinearFunctional:
     coeffs: tuple[int, ...]
 
     def evaluate(self, h: EntropyVector) -> LogLinear:
-        acc = LogLinear.zero()
-        for c, v in zip(self.coeffs, h.coords):
-            if c:
-                acc = acc + v.scale(c)
-        return acc
+        return dot(self.coeffs, h.coords)
 
     def evaluate_int(self, vec: Sequence[int]) -> int:
         return sum(c * v for c, v in zip(self.coeffs, vec))
@@ -154,8 +152,8 @@ class LinearFunctional:
 @lru_cache(maxsize=None)
 def elemental_inequalities(n: int) -> tuple[LinearFunctional, ...]:
     """Monotonicity and submodularity functionals for n variables."""
-    if not 1 <= n <= _MAX_VARS:
-        raise ValueError(f"n must be within 1..{_MAX_VARS}")
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"n must be within 1..{MAX_VARS}")
     index = subset_index_map(n)
     dim = len(index)
     ground = frozenset(range(1, n + 1))
@@ -207,65 +205,39 @@ def in_gamma_n(h: EntropyVector) -> GammaVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _solve_columns_multi(
-    columns: Sequence[Sequence[int]], rhs_list: Sequence[Sequence[Fraction]]
-) -> Optional[list[list[Fraction]]]:
-    """Solve ``M x = b`` exactly for several right-hand sides at once.
+_ROWS = 7  # coordinates of a three-variable entropy vector
 
-    Returns one solution vector per rhs, or None when the columns are
-    linearly dependent or any system is inconsistent.
+
+def _eliminate(
+    columns: Sequence[Sequence[int]], rhs_list: Sequence[Sequence[Fraction]] = ()
+) -> tuple[list[int], list[list[Fraction]]]:
+    """Gauss-Jordan elimination of ``[M | b_1 .. b_t]`` over the rationals.
+
+    ``M`` has the given integer columns.  Returns the pivot columns and the
+    reduced augmented rows: the rank of ``M`` is the number of pivots, and
+    when every column is a pivot, row ``j`` holds the unique solution
+    entries for column ``j``.
     """
     k = len(columns)
-    rows = len(columns[0]) if k else len(rhs_list[0])
-    nrhs = len(rhs_list)
     aug = [
-        [Fraction(columns[j][i]) for j in range(k)] + [rhs[i] for rhs in rhs_list]
-        for i in range(rows)
+        [Fraction(col[i]) for col in columns] + [rhs[i] for rhs in rhs_list]
+        for i in range(_ROWS)
     ]
     pivots: list[int] = []
-    r = 0
     for c in range(k):
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, _ROWS) if aug[i][c]), None)
         if pr is None:
-            return None  # dependent columns: caller enumerates other subsets
+            continue
         aug[r], aug[pr] = aug[pr], aug[r]
         pv = aug[r][c]
         aug[r] = [v / pv for v in aug[r]]
-        for i in range(rows):
+        for i in range(_ROWS):
             if i != r and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(c)
-        r += 1
-    for i in range(r, rows):
-        if any(aug[i][k + t] for t in range(nrhs)):
-            return None
-    sols = [[Fraction(0)] * k for _ in range(nrhs)]
-    for row, c in enumerate(pivots):
-        for t in range(nrhs):
-            sols[t][c] = aug[row][k + t]
-    return sols
-
-
-def _column_rank(columns: Sequence[Sequence[int]]) -> int:
-    if not columns:
-        return 0
-    rows = len(columns[0])
-    mat = [[Fraction(columns[j][i]) for j in range(len(columns))] for i in range(rows)]
-    rank = 0
-    for c in range(len(columns)):
-        pr = next((i for i in range(rank, rows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        pv = mat[rank][c]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for i in range(rows):
-            if i != rank and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+    return pivots, aug
 
 
 @dataclass(frozen=True)
@@ -275,13 +247,7 @@ class ConicCertificate:
     coefficients: Mapping[Ray, LogLinear]
 
     def vector(self) -> EntropyVector:
-        coords = [LogLinear.zero()] * 7
-        for ray, lam in self.coefficients.items():
-            coords = [c + lam.scale(e) for c, e in zip(coords, ray.vector)]
-        return EntropyVector(3, coords)
-
-    def support(self) -> tuple[Ray, ...]:
-        return sorted_rays(r for r, lam in self.coefficients.items() if lam)
+        return combination(self.coefficients)
 
     def to_json(self) -> dict:
         return {
@@ -293,47 +259,35 @@ class ConicCertificate:
 
 def combination(coefficients: Mapping[Ray, LogLinear]) -> EntropyVector:
     """Build ``sum_j lambda_j e_j`` as an exact entropy-space vector."""
-    coords = [LogLinear.zero()] * 7
-    for ray, lam in coefficients.items():
-        coords = [c + lam.scale(e) for c, e in zip(coords, ray.vector)]
-    return EntropyVector(3, coords)
+    rays = list(coefficients)
+    lams = [coefficients[r] for r in rays]
+    return EntropyVector(3, [dot([r.vector[i] for r in rays], lams) for i in range(_ROWS)])
 
 
-def cone_membership(
-    h: EntropyVector,
-    generators: Iterable[Ray],
-    exhaustive: bool = False,
-):
-    """Exact conic decomposition of h over the given generator rays.
+def _certificates(h: EntropyVector, generators: Iterable[Ray]) -> Iterator[ConicCertificate]:
+    """Distinct all-nonnegative exact certificates of h over the generators.
 
-    Returns the first all-nonnegative exact certificate under a fixed
-    deterministic enumeration of maximal independent generator subsets, or
-    None when no certificate exists.  With ``exhaustive=True`` returns the
-    list of all distinct certificates found across those subsets.
+    Maximal linearly independent generator subsets are enumerated in a
+    fixed deterministic order; each square system is solved once per prime
+    of h.
     """
     if h.n != 3:
         raise ValueError("conic decomposition is defined for n = 3 vectors")
     gens = sorted_rays(generators)
-    columns = [g.vector for g in gens]
-    rank = _column_rank(columns)
-
     primes = sorted({p for c in h.coords for p in c.terms})
-    rhs_list = [
-        [c.terms.get(p, Fraction(0)) for c in h.coords] for p in primes
-    ]
     if not primes:
         # the zero vector is the trivial conic combination
-        zero_cert = ConicCertificate({g: LogLinear.zero() for g in gens})
-        return [zero_cert] if exhaustive else zero_cert
-
-    found: list[ConicCertificate] = []
+        yield ConicCertificate({g: LogLinear.zero() for g in gens})
+        return
+    rhs_list = [[c.terms.get(p, Fraction(0)) for c in h.coords] for p in primes]
+    rank = len(_eliminate([g.vector for g in gens])[0])
     seen: set[tuple] = set()
     for subset in combinations(gens, rank):
-        sols = _solve_columns_multi([g.vector for g in subset], rhs_list)
-        if sols is None:
-            continue
+        pivots, rows = _eliminate([g.vector for g in subset], rhs_list)
+        if len(pivots) < rank or any(v for row in rows[rank:] for v in row[rank:]):
+            continue  # dependent columns, or an inconsistent system
         lams = {
-            g: LogLinear({p: sols[t][j] for t, p in enumerate(primes)})
+            g: LogLinear({p: rows[j][rank + t] for t, p in enumerate(primes)})
             for j, g in enumerate(subset)
         }
         if any(lam.sign() == Sign.NEGATIVE for lam in lams.values()):
@@ -343,13 +297,25 @@ def cone_membership(
         if cert.vector() != h:  # exactness guard; algebra should make this unreachable
             continue
         key = tuple(coeffs[g] for g in gens)
-        if key in seen:
-            continue
-        seen.add(key)
-        if not exhaustive:
-            return cert
-        found.append(cert)
-    return found if exhaustive else None
+        if key not in seen:
+            seen.add(key)
+            yield cert
+
+
+def cone_membership(h: EntropyVector, generators: Iterable[Ray]) -> Optional[ConicCertificate]:
+    """Exact conic decomposition of h over the given generator rays.
+
+    Returns the first all-nonnegative exact certificate under a fixed
+    deterministic enumeration of maximal independent generator subsets, or
+    None when no certificate exists.
+    """
+    return next(_certificates(h, generators), None)
+
+
+def cone_decompositions(h: EntropyVector, generators: Iterable[Ray]) -> list[ConicCertificate]:
+    """Every distinct exact certificate of h over the generators, in the
+    order :func:`cone_membership` meets them; empty when none exists."""
+    return list(_certificates(h, generators))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +388,7 @@ def _orbit_of(gens: frozenset[Ray]) -> tuple[frozenset[Ray], ...]:
 
 
 def _make_face(gens: frozenset[Ray], canonical: bool) -> FaceSpec:
-    dim = _column_rank([g.vector for g in sorted_rays(gens)])
+    dim = len(_eliminate([g.vector for g in sorted_rays(gens)])[0])
     return FaceSpec(gens, dim, canonical, _orbit_of(gens))
 
 
@@ -437,11 +403,12 @@ def face_catalogue() -> tuple[FaceSpec, ...]:
 
 @lru_cache(maxsize=1)
 def _face_lookup() -> dict[frozenset, FaceSpec]:
-    table: dict[frozenset, FaceSpec] = {}
-    for face in face_catalogue():
-        for image in face.orbit:
-            table.setdefault(image, _make_face(image, canonical=(image == face.generators)))
-    return table
+    # dimension and orbit are invariant under relabeling: reuse the canonical face's
+    return {
+        image: FaceSpec(image, face.dim, image == face.generators, face.orbit)
+        for face in face_catalogue()
+        for image in face.orbit
+    }
 
 
 def face_for_generators(generators: Iterable[Ray]) -> FaceSpec:

@@ -18,14 +18,16 @@ maintaining per-fiber counters with three families of pruning rules:
 * structure - optional hints derived from exact additive identities of
   the target vector: independence of two disjoint groups forces their
   joint projection to be the full product of the group projections, and
-  an entropy-preserving extension forces a functional dependence.
+  an entropy-preserving extension forces a functional dependence.  Only
+  identities that :func:`structural_hints` finds in the target are
+  accepted, since any other hint could prune every realization.
 
 Symmetry is broken by canonical relabeling: each variable's symbols must
 appear in increasing order of first use along the placement order.  Every
 support set is relabel-equivalent to one satisfying this rule, so the
 rule is sound; it removes the ``prod_i m_i!`` relabeling factor.
 
-An exhaustive oracle over all supports of the right size (for small
+An oracle that enumerates every support of the right size (for small
 grids) provides an independent ground truth for validating the search.
 """
 
@@ -35,7 +37,7 @@ import itertools
 import math
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -77,6 +79,10 @@ class SupportSpec:
     def alphabet_sizes(self) -> tuple[int, ...]:
         return tuple(self.m[frozenset({i})] for i in range(1, self.n + 1))
 
+    def vector(self) -> EntropyVector:
+        """The log-size vector ``(log m_alpha)`` in canonical order."""
+        return EntropyVector(self.n, [LogLinear.from_log_int(self.m[a]) for a in canonical_order(self.n)])
+
     def to_json(self) -> dict:
         return {"n": self.n, "m": {subset_name(a): v for a, v in sorted(self.m.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}}
 
@@ -114,8 +120,7 @@ def check_feasibility_necessary(spec: SupportSpec) -> tuple[bool, Optional[str]]
                     f"divisibility fails: m_{subset_name(alpha)} = {spec.m[alpha]}"
                     f" does not divide m_{subset_name(beta)} = {spec.m[beta]}"
                 )
-    vec = EntropyVector(spec.n, [LogLinear.from_log_int(spec.m[a]) for a in order])
-    verdict = in_gamma_n(vec)
+    verdict = in_gamma_n(spec.vector())
     if not verdict.in_cone:
         return False, f"log-size vector violates {verdict.violated.name}"
     return True, None
@@ -472,30 +477,9 @@ def _require_valid(spec: SupportSpec) -> None:
         raise ValueError(f"spec fails necessary feasibility: {witness}")
 
 
-def _hints_to_wire(hints: Sequence[Hint]) -> list[tuple]:
-    wire = []
-    for h in hints:
-        if isinstance(h, Independence):
-            wire.append(("indep", sorted(h.alpha), sorted(h.beta)))
-        else:
-            wire.append(("fd", sorted(h.base), sorted(h.extension)))
-    return wire
-
-
-def _hints_from_wire(wire: Sequence[tuple]) -> tuple[Hint, ...]:
-    out: list[Hint] = []
-    for kind, a, b in wire:
-        if kind == "indep":
-            out.append(Independence(frozenset(a), frozenset(b)))
-        else:
-            out.append(FunctionalDependence(frozenset(a), frozenset(b)))
-    return tuple(out)
-
-
 def _parallel_task(payload) -> tuple[str, Optional[list[int]], int]:
-    spec_json, wire_hints, prefix, max_nodes, deadline = payload
-    spec = SupportSpec.from_json(spec_json)
-    engine = _Engine(spec, _hints_from_wire(wire_hints))
+    spec, hints, prefix, max_nodes, deadline = payload
+    engine = _Engine(spec, hints)
     if not engine.replay_prefix(prefix):
         return SearchStatus.EXHAUSTED_INFEASIBLE.value, None, 0
     status, support = engine.run(max_nodes, deadline, start_cell=len(prefix))
@@ -537,8 +521,16 @@ def search(
     spec, hints and budget reproduce the same outcome and witness.  With
     workers > 1 subtrees are explored in separate processes and the first
     witness wins, so the witness may vary between runs.
+
+    Every hint must be one of ``structural_hints(spec.vector())``; any
+    other hint raises ValueError, because it could prune every realization
+    and turn a feasible spec into a false EXHAUSTED_INFEASIBLE.
     """
     _require_valid(spec)
+    if hints:
+        derived = structural_hints(spec.vector())
+        if not all(hint in derived for hint in hints):
+            raise ValueError("hints must be identities of the spec's log-size vector (structural_hints)")
     budget = budget or Budget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
@@ -558,7 +550,7 @@ def search(
 
     share = max(1, budget.max_nodes // len(prefixes))
     payloads = [
-        (spec.to_json(), _hints_to_wire(hints), prefix, share, deadline) for prefix in prefixes
+        (spec, hints, prefix, share, deadline) for prefix in prefixes
     ]
     total_nodes = 0
     budget_hit = False

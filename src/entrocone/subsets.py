@@ -32,10 +32,6 @@ def subset_index_map(n: int) -> dict[Subset, int]:
     return {alpha: i for i, alpha in enumerate(canonical_order(n))}
 
 
-def subset_index(n: int, alpha: Iterable[int]) -> int:
-    return subset_index_map(n)[frozenset(alpha)]
-
-
 def subset_name(alpha: Iterable[int]) -> str:
     return "".join(str(i) for i in sorted(alpha))
 
@@ -50,8 +46,3 @@ def parse_subset_name(name: str, n: int) -> Subset:
     if not alpha or len(members) != len(alpha) or not all(1 <= i <= n for i in alpha):
         raise ValueError(f"subset name {name!r} is not a nonempty subset of 1..{n}")
     return alpha
-
-
-def apply_permutation(alpha: Subset, perm: dict[int, int]) -> Subset:
-    """Image of a subset under a relabeling of variable indices."""
-    return frozenset(perm[i] for i in alpha)

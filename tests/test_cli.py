@@ -215,6 +215,19 @@ class TestCatalogAndUsage:
             main(["no-such-command"])
         assert exc.value.code == EX_USAGE
 
+    @pytest.mark.parametrize("command", ["gamma", "spec"])
+    def test_unsupported_variable_count_is_data_error(self, tmp_path, capsys, command):
+        vec = tmp_path / "n7.vec"
+        vec.write_text(json.dumps({"n": 7, "coords": ["log 2"] * 127}))
+        code, report = run(capsys, command, str(vec))
+        assert code == EX_DATAERR
+        assert report is None
+
+    def test_deterministic_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", fx("spec_f.json"), "--deterministic"])
+        assert exc.value.code == EX_USAGE
+
     def test_unknown_face_is_data_error(self, capsys):
         code, _ = run(capsys, "face", fx("f.vec"), "sigma")
         assert code == EX_DATAERR

@@ -1,14 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrocone.distributions import EntropyVector
 from entrocone.logexact import LogLinear, Sign, from_log_int, from_log_rational
 from entrocone.polycone import (
     RAY_ORDER,
+    _face_lookup,
+    _make_face,
     FacePosition,
     Ray,
     combination,
+    cone_decompositions,
     cone_membership,
     elemental_inequalities,
     face_catalogue,
@@ -34,6 +39,34 @@ def bits_vector(entries):
 def random_conic_combo(rng, rays=RAY_ORDER):
     coeffs = {r: random_nonneg_loglinear(rng) for r in rays}
     return coeffs, combination(coeffs)
+
+
+def int_log_vector(per_prime):
+    # per_prime[p] is an integer 7-vector: coordinate i gets c_i * log p
+    return EntropyVector(
+        3, [LogLinear({p: row[i] for p, row in per_prime.items()}) for i in range(7)]
+    )
+
+
+ray_weights_st = st.lists(st.integers(0, 3), min_size=8, max_size=8)
+perturbation_st = st.one_of(
+    st.just([0] * 7), st.lists(st.integers(-2, 2), min_size=7, max_size=7)
+)
+
+
+@st.composite
+def int_log_vectors(draw):
+    # a conic combination of the rays per prime, sometimes pushed off the
+    # cone: about two thirds of the draws are members, one third are not
+    per_prime = {}
+    for p in (2, 3):
+        weights = draw(ray_weights_st)
+        shift = draw(perturbation_st)
+        per_prime[p] = [
+            sum(w * r.vector[i] for w, r in zip(weights, RAY_ORDER)) + shift[i]
+            for i in range(7)
+        ]
+    return int_log_vector(per_prime)
 
 
 class TestElemental:
@@ -142,7 +175,7 @@ class TestConicDecomposition:
         # the full eight rays satisfy e12+e13+e23 = e123 + e123p, so interior
         # points admit several supports
         h = combination({r: from_log_int(2) for r in RAY_ORDER})
-        certs = cone_membership(h, RAY_ORDER, exhaustive=True)
+        certs = cone_decompositions(h, RAY_ORDER)
         assert isinstance(certs, list) and len(certs) >= 1
         assert all(c.vector() == h for c in certs)
 
@@ -155,6 +188,20 @@ class TestConicDecomposition:
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
             cone_membership(EntropyVector(2, [LogLinear.zero()] * 3), RAY_ORDER)
+        with pytest.raises(ValueError):
+            cone_decompositions(EntropyVector(2, [LogLinear.zero()] * 3), RAY_ORDER)
+
+    def test_first_decomposition_is_the_membership_certificate(self):
+        h = combination({r: from_log_int(2) for r in RAY_ORDER})
+        assert cone_decompositions(h, RAY_ORDER)[0] == cone_membership(h, RAY_ORDER)
+        assert cone_decompositions(g_vector(), THETA.generators) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_log_vectors())
+    def test_ray_decomposition_agrees_with_elemental_inequalities(self, h):
+        # Gamma_3 is the conic hull of the eight rays, so the exact solver
+        # and the elemental inequalities must give the same verdict
+        assert (cone_membership(h, RAY_ORDER) is not None) == in_gamma_n(h).in_cone
 
 
 class TestFaceCatalogue:
@@ -177,6 +224,16 @@ class TestFaceCatalogue:
             for perm in variable_permutations():
                 image = frozenset(permute_ray(r, perm) for r in face.generators)
                 assert image in face.orbit
+
+    def test_lookup_matches_freshly_built_faces(self):
+        # the lookup reuses the canonical face's dim and orbit for every image
+        for face in face_catalogue():
+            for image in face.orbit:
+                entry = _face_lookup()[image]
+                fresh = _make_face(image, canonical=image == face.generators)
+                assert entry == fresh
+                assert entry.orbit == fresh.orbit
+        assert len(_face_lookup()) == sum(len(f.orbit) for f in face_catalogue())
 
     def test_orbit_sizes_divide_group_order(self):
         for face in face_catalogue():

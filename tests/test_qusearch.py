@@ -147,6 +147,11 @@ class TestSearch:
         outcome48 = search(F_SPEC, workers=2, budget=Budget(max_seconds=60))
         assert_realizes(outcome48, F_SPEC)
 
+    def test_parallel_mode_sends_hints_to_workers(self):
+        hints = structural_hints(PARITY_SPEC.vector())
+        assert any(isinstance(h, FunctionalDependence) for h in hints)
+        assert_realizes(search(PARITY_SPEC, hints=hints, workers=2), PARITY_SPEC)
+
 
 class TestOracle:
     def test_agrees_on_parity(self):
@@ -236,6 +241,20 @@ class TestHints:
     def test_rejects_non_natural_vector(self):
         with pytest.raises(ValueError):
             structural_hints(g_vector())
+
+    def test_hint_not_derived_from_spec_is_rejected(self):
+        # h_12 != h_1 on the parity spec, so this dependence would prune
+        # every realization of a feasible spec
+        bogus = FunctionalDependence(frozenset({1}), frozenset({2}))
+        with pytest.raises(ValueError):
+            search(PARITY_SPEC, hints=[bogus])
+        with pytest.raises(ValueError):
+            search(PARITY_SPEC, hints=[bogus], workers=2)
+        assert search(PARITY_SPEC).status is SearchStatus.FOUND
+
+    def test_spec_vector_is_log_sizes(self):
+        assert F_SPEC.vector() == f_vector()
+        assert CANDIDATE_SPEC.vector() == candidate_vector()
 
     def test_hints_preserve_feasibility_verdicts(self):
         # identities forced by counting can never exclude a realization
