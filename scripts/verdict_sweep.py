@@ -1,0 +1,72 @@
+"""Run every spec of perfbench/verdicts.json through the search and check
+the verdicts against the table.
+
+    python3 scripts/verdict_sweep.py [--table perfbench/verdicts.json]
+
+Each spec runs single-worker, without hints, at the table's node budget
+(`budget_nodes`).  The run fails (exit 1) when a definite verdict differs
+from the table: an EXHAUSTED_INFEASIBLE the table did not record, or a
+FOUND on a row recorded as infeasible.  A FOUND on a row the table left
+budget-capped passes once its witness is checked to be quasi-uniform with
+the target sizes.  The table is read, never written.  The last lines give
+the total node count, which is deterministic, and the node rate, which
+depends on the machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from entrocone.distributions import is_quasi_uniform  # noqa: E402
+from entrocone.qusearch import Budget, SearchStatus, SupportSpec, search  # noqa: E402
+from entrocone.subsets import canonical_order  # noqa: E402
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--table", default=str(ROOT / "perfbench" / "verdicts.json"))
+    args = parser.parse_args(argv)
+    table = json.loads(Path(args.table).read_text(encoding="utf-8"))
+    budget = Budget(max_nodes=table["budget_nodes"], max_seconds=float("inf"))
+    order = canonical_order(3)
+
+    failures: list[str] = []
+    statuses = {status: 0 for status in SearchStatus}
+    lost = 0
+    nodes = 0
+    start = time.perf_counter()
+    for row in table["specs"]:
+        spec = SupportSpec(3, dict(zip(order, row["m"])))
+        outcome = search(spec, budget)
+        nodes += outcome.nodes_explored
+        statuses[outcome.status] += 1
+        recorded = SearchStatus(row["status"])
+        if outcome.status is SearchStatus.BUDGET_EXCEEDED:
+            lost += recorded is not SearchStatus.BUDGET_EXCEEDED
+        elif outcome.status is SearchStatus.FOUND:
+            verdict = is_quasi_uniform(outcome.pmf)
+            if recorded is SearchStatus.EXHAUSTED_INFEASIBLE or not verdict.is_qu or verdict.support_sizes != spec.m:
+                failures.append(f"{row['m']}: found, table says {recorded.value}")
+        elif recorded is not SearchStatus.EXHAUSTED_INFEASIBLE:
+            failures.append(f"{row['m']}: exhausted_infeasible, table says {recorded.value}")
+    elapsed = time.perf_counter() - start
+
+    for line in failures:
+        print(f"MISMATCH {line}")
+    print(f"specs: {len(table['specs'])} at budget {table['budget_nodes']} nodes; "
+          + ", ".join(f"{status.value} {count}" for status, count in statuses.items()))
+    print(f"decided in the table but budget-capped here: {lost}")
+    print(f"total nodes: {nodes}")
+    print(f"elapsed: {elapsed:.2f} s, {nodes / elapsed:,.0f} nodes/s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -77,7 +77,10 @@ def parse_vector_json(obj) -> EntropyVector:
                     f"coordinate {name}: bad shorthand {entry!r}"
                     " (decimals are rejected; use 'log a/b' or log_terms)"
                 )
-            coords.append(LogLinear.from_log_rational(int(m.group(1)), int(m.group(2) or 1)))
+            try:
+                coords.append(LogLinear.from_log_rational(int(m.group(1)), int(m.group(2) or 1)))
+            except ValueError as exc:
+                raise DataError(f"coordinate {name}: {exc}") from None
         elif isinstance(entry, dict):
             try:
                 coords.append(LogLinear.from_json(entry))
@@ -153,7 +156,11 @@ def _vector_report(h: EntropyVector) -> dict:
 
 def _cmd_entropy(args) -> int:
     pmf = _load_pmf(args.pmf_file)
-    report = {"command": "entropy", **_vector_report(entropy_vector(pmf))}
+    try:
+        h = entropy_vector(pmf)
+    except ValueError as exc:
+        raise DataError(f"{args.pmf_file}: {exc}") from None
+    report = {"command": "entropy", **_vector_report(h)}
     _emit(report)
     return 0
 
@@ -251,9 +258,9 @@ def _cmd_spec(args) -> int:
 def _cmd_search(args) -> int:
     try:
         spec = qusearch.SupportSpec.from_json(_load_json(args.spec_file))
+        ok, witness = qusearch.check_feasibility_necessary(spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{args.spec_file}: {exc}") from None
-    ok, witness = qusearch.check_feasibility_necessary(spec)
     if not ok:
         _emit({"command": "search", "status": "infeasible_necessary", "witness": witness})
         return EX_FALSE

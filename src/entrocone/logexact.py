@@ -25,6 +25,7 @@ matters for decimal display only, hence the three renderers
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from enum import IntEnum, unique
@@ -64,30 +65,112 @@ class Sign(IntEnum):
     POSITIVE = 1
 
 
+# Integers below _TRIAL_BOUND**2 are settled by trial division.  Above it,
+# primality is deterministic Miller-Rabin (these bases are exact below
+# 3.3e24) and splitting is Pollard rho, whose work grows like the fourth
+# root of the number; the part of an integer left after dividing out the
+# primes below _TRIAL_BOUND must stay below _FACTOR_CAP, which bounds that
+# work, or the integer is rejected as input data.
+_TRIAL_BOUND = 1000
+_FACTOR_CAP = 1 << 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n < _TRIAL_BOUND ** 2:
+        if n < 4:
+            return n > 1
+        if n % 2 == 0:
             return False
-        d += 2
+        d = 3
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    if any(n % p == 0 for p in _TRIAL_PRIMES):
+        return False
+    _check_cap(n)
+    return _miller_rabin(n)
+
+
+_TRIAL_PRIMES = tuple(filter(_is_prime, range(_TRIAL_BOUND)))
+
+
+def _check_cap(n: int) -> None:
+    if n >= _FACTOR_CAP:
+        raise ValueError(
+            f"{n} has no prime factor below {_TRIAL_BOUND} and is at least"
+            f" 2**{_FACTOR_CAP.bit_length() - 1}: too large to factor"
+        )
+
+
+def _miller_rabin(n: int) -> bool:
+    """Deterministic for odd n > 41 below 3.3e24 with the fixed bases."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
+def _pollard_rho(n: int) -> int:
+    """A proper factor of the odd composite n (Brent's cycle search)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                k += 128
+                g = math.gcd(q, n)
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _factorize(m: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs are desk-scale)."""
+    """Prime factorization: trial division by the primes below
+    _TRIAL_BOUND, then Miller-Rabin and Pollard rho on what is left."""
     factors: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+    if m >= _TRIAL_BOUND ** 2:
+        _check_cap(m)
+        pending = [m]
+        m = 1
+        while pending:
+            x = pending.pop()
+            if _miller_rabin(x):
+                factors[x] = factors.get(x, 0) + 1
+            else:
+                d = _pollard_rho(x)
+                pending += [d, x // d]
     if m > 1:
         factors[m] = factors.get(m, 0) + 1
     return factors

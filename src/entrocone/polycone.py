@@ -434,7 +434,7 @@ class FaceLocation:
 
 def _tight_set(h: EntropyVector) -> frozenset[int]:
     fns = elemental_inequalities(3)
-    return frozenset(i for i, fn in enumerate(fns) if fn.evaluate(h).sign() == Sign.ZERO)
+    return frozenset(i for i, fn in enumerate(fns) if not fn.evaluate(h))
 
 
 def _face_tight_set(gens: Iterable[Ray]) -> frozenset[int]:

@@ -7,8 +7,14 @@ exactly ``m_alpha`` distinct values, each with exactly
 ``m_[n] / m_alpha`` preimages in S.  The joint distribution is then
 uniform on S and every marginal is constant on its support.
 
-The search places support points in a fixed lexicographic cell order,
-maintaining per-fiber counters with three families of pruning rules:
+The search is a depth-first walk over the grid cells in lexicographic
+order that decides, cell by cell, to include the cell as a support point
+or to leave it empty.  A fiber is one value of one subset's projection;
+every fiber of every subset has one id, and flat arrays indexed by it hold
+the points placed in the fiber and the cells still ahead of the frontier.
+Each cell lists its ``(subset, fiber id)`` pairs once, at engine build, so
+one decision touches ``2**n - 1`` array slots.  Three families of pruning
+rules run on these counters:
 
 * overflow - a fiber may never exceed its quota, and a subset may never
   realize more distinct values than its target;
@@ -20,7 +26,9 @@ maintaining per-fiber counters with three families of pruning rules:
   joint projection to be the full product of the group projections, and
   an entropy-preserving extension forces a functional dependence.  Only
   identities that :func:`structural_hints` finds in the target are
-  accepted, since any other hint could prune every realization.
+  accepted, since any other hint could prune every realization.  Hints
+  become per-cell tuples of fiber ids checked on the same arrays; they are
+  empty without hints, so hinted and plain runs share one code path.
 
 Symmetry is broken by canonical relabeling: each variable's symbols must
 appear in increasing order of first use along the placement order.  Every
@@ -227,221 +235,259 @@ class _BudgetHit(Exception):
 class _Engine:
     """Depth-first placement over grid cells with incremental fiber counts.
 
+    A fiber is one value of one subset's projection.  All fibers share the
+    flat ``counts`` and ``future`` arrays, indexed by a fiber id (the
+    subset's offset plus the mixed-radix value of its coordinates), and
+    each cell carries the tuple of its ``(subset, fiber id)`` pairs.  Hints
+    add per-cell check tuples that are empty where no hint applies, so
+    hinted and plain runs take the same path.
+
     Mutable state is per-instance; a fresh engine can explore any subtree
     independently, which is what the parallel driver relies on.
     """
 
     def __init__(self, spec: SupportSpec, hints: Sequence[Hint] = ()):
         self.n = spec.n
-        self.sizes = spec.alphabet_sizes()
+        self.sizes = sizes = spec.alphabet_sizes()
         self.m_total = spec.total
-        self.subsets = list(canonical_order(spec.n))
-        self.nsub = len(self.subsets)
-        self.cells: list[tuple[int, ...]] = list(itertools.product(*[range(s) for s in self.sizes]))
-        self.ncells = len(self.cells)
+        subsets = canonical_order(spec.n)
+        self.cells: list[tuple[int, ...]] = list(itertools.product(*[range(s) for s in sizes]))
+        self.ncells = ncells = len(self.cells)
 
-        # value enumeration per subset: mixed radix over the subset's coords
-        self.sub_vars = [sorted(a) for a in self.subsets]
-        self.nvals = [math.prod(self.sizes[i - 1] for i in sv) for sv in self.sub_vars]
-        self.quota = [self.m_total // spec.m[a] for a in self.subsets]
-        self.target = [spec.m[a] for a in self.subsets]
-
-        self.pid: list[list[int]] = []
-        for sv in self.sub_vars:
-            strides = []
+        # fiber id = offset of the subset + sum of coord * stride
+        self.strides: list[list[tuple[int, int]]] = []
+        nvals = []
+        for a in subsets:
             acc = 1
-            for i in reversed(sv):
+            strides = []
+            for i in sorted(a, reverse=True):
                 strides.append((i - 1, acc))
-                acc *= self.sizes[i - 1]
-            strides.reverse()
-            self.pid.append([sum(cell[i] * s for i, s in strides) for cell in self.cells])
+                acc *= sizes[i - 1]
+            self.strides.append(strides)
+            nvals.append(acc)
+        self.offset = list(itertools.accumulate(nvals, initial=0))
+        columns = list(zip(*self.cells))
+        fiber_columns = []
+        for a, strides in enumerate(self.strides):
+            col = [self.offset[a]] * ncells
+            for i, s in strides:
+                col = [f + x * s for f, x in zip(col, columns[i])]
+            fiber_columns.append(zip(itertools.repeat(a), col))
+        self.cell_fibers: list[tuple[tuple[int, int], ...]] = list(zip(*fiber_columns))
 
-        grid_fiber = [self.ncells // nv for nv in self.nvals]
-        self.counts = [[0] * nv for nv in self.nvals]
-        self.future = [[grid_fiber[a]] * self.nvals[a] for a in range(self.nsub)]
-        self.openable = [
-            self.nvals[a] if grid_fiber[a] >= self.quota[a] else 0 for a in range(self.nsub)
-        ]
-        self.realized = [0] * self.nsub
-        self.placed = 0
+        # per subset: points per realized fiber, fibers to realize, fibers
+        # realized so far and empty fibers that can still reach the quota
+        self.quota = [self.m_total // spec.m[a] for a in subsets]
+        self.target = [spec.m[a] for a in subsets]
+        self.realized = [0] * len(subsets)
+        self.openable = []
+        # per fiber: points placed and cells not yet decided
+        self.counts = [0] * self.offset[-1]
+        self.future = []
+        for a, nv in enumerate(nvals):
+            grid_fiber = ncells // nv
+            self.future += [grid_fiber] * nv
+            self.openable.append(nv if grid_fiber >= self.quota[a] else 0)
         self.maxused = [-1] * self.n
         self.chosen: list[int] = []
-
-        sub_index = {a: k for k, a in enumerate(self.subsets)}
-        # functional dependences: (base subset idx, joint subset idx)
-        self.fd_pairs: list[tuple[int, int]] = []
-        # independences: (a idx, b idx, joint idx, combine table, comp maps)
-        self.indep: list[tuple[int, int, int, list[list[int]], list[int], list[int]]] = []
-        self.realized_sets: dict[int, set[int]] = {}
-        for hint in hints:
-            if isinstance(hint, FunctionalDependence):
-                self.fd_pairs.append((sub_index[hint.base], sub_index[hint.base | hint.extension]))
-            elif isinstance(hint, Independence):
-                ia, ib = sub_index[hint.alpha], sub_index[hint.beta]
-                ij = sub_index[hint.alpha | hint.beta]
-                table = [[0] * self.nvals[ib] for _ in range(self.nvals[ia])]
-                comp_a = [0] * self.nvals[ij]
-                comp_b = [0] * self.nvals[ij]
-                for vj, tup in enumerate(itertools.product(*[range(self.sizes[i - 1]) for i in self.sub_vars[ij]])):
-                    coord = dict(zip(self.sub_vars[ij], tup))
-                    va = self._encode(ia, coord)
-                    vb = self._encode(ib, coord)
-                    table[va][vb] = vj
-                    comp_a[vj] = va
-                    comp_b[vj] = vb
-                self.indep.append((ia, ib, ij, table, comp_a, comp_b))
-                self.realized_sets.setdefault(ia, set())
-                self.realized_sets.setdefault(ib, set())
+        self._hint_checks(subsets, hints)
 
         self.nodes = 0
         self._deadline = float("inf")
         self._max_nodes = 0
 
-    def _encode(self, a: int, coord: dict[int, int]) -> int:
-        vid = 0
-        for i in self.sub_vars[a]:
-            vid = vid * self.sizes[i - 1] + coord[i]
-        return vid
+    def _fiber(self, a: int, coord: Sequence[int]) -> int:
+        return self.offset[a] + sum(coord[i] * s for i, s in self.strides[a])
 
-    # -- frontier advance (shared by include and exclude) ------------------
+    def _hint_checks(self, subsets: Sequence[Subset], hints: Sequence[Hint]) -> None:
+        """Per-cell check tuples for the hints:
+
+        * ``fd_checks[ci]``: ``(base fiber, joint fiber)`` of the cell per
+          functional dependence; including the cell needs the joint fiber
+          realized whenever the base fiber is;
+        * ``realize_checks[ci]``: ``(fiber, ((partner, joint, joint quota),
+          ...))`` for the cell's fibers in an independent group; realizing
+          the fiber while a partner is realized needs their joint fiber to
+          stay completable;
+        * ``joint_checks[ci]``: ``(joint fiber, joint quota, ((fa, fb),
+          ...))`` for the cell's fibers of an independent union; an empty
+          joint fiber that can no longer fill must not have both parts
+          realized.
+        """
+        sub_index = {a: k for k, a in enumerate(subsets)}
+        fd = []
+        partners: dict[int, list[tuple[int, int, int]]] = {}
+        parts: dict[int, list[tuple[int, int]]] = {}
+        for hint in hints:
+            if isinstance(hint, FunctionalDependence):
+                fd.append((sub_index[hint.base], sub_index[hint.base | hint.extension]))
+                continue
+            ia, ib = sub_index[hint.alpha], sub_index[hint.beta]
+            ij = sub_index[hint.alpha | hint.beta]
+            seen = set()
+            for coord in self.cells:
+                fj = self._fiber(ij, coord)
+                if fj not in seen:
+                    seen.add(fj)
+                    fa, fb = self._fiber(ia, coord), self._fiber(ib, coord)
+                    parts.setdefault(fj, []).append((fa, fb))
+                    partners.setdefault(fa, []).append((fb, fj, self.quota[ij]))
+                    partners.setdefault(fb, []).append((fa, fj, self.quota[ij]))
+        cells = self.cell_fibers
+        self.fd_checks: list[tuple[tuple[int, int], ...]] = [()] * self.ncells
+        self.realize_checks: list[tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]] = [()] * self.ncells
+        self.joint_checks: list[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]] = [()] * self.ncells
+        if fd:
+            self.fd_checks = [tuple((fibers[b][1], fibers[j][1]) for b, j in fd) for fibers in cells]
+        if partners:
+            self.realize_checks = [
+                tuple((f, tuple(partners[f])) for _, f in fibers if f in partners) for fibers in cells
+            ]
+            self.joint_checks = [
+                tuple((f, self.quota[a], tuple(parts[f])) for a, f in fibers if f in parts) for fibers in cells
+            ]
+
+    # -- frontier advance past an excluded cell ------------------------------
 
     def _advance(self, ci: int) -> bool:
-        """Move the frontier past cell ci; returns False when some fiber
-        becomes impossible to finish.  Mutations are applied in full either
-        way so that _retreat restores the state exactly."""
+        """Move the frontier past cell ci, left empty; returns False when
+        some fiber becomes impossible to finish.  Mutations are applied in
+        full either way so that _retreat restores the state exactly."""
+        counts, future, quota = self.counts, self.future, self.quota
         ok = True
-        for a in range(self.nsub):
-            v = self.pid[a][ci]
-            fut = self.future[a]
-            fut[v] -= 1
-            f = fut[v]
-            c = self.counts[a][v]
-            q = self.quota[a]
-            if c > 0:
-                if c < q and c + f < q:
+        for a, f in self.cell_fibers[ci]:
+            fu = future[f] - 1
+            future[f] = fu
+            c = counts[f]
+            q = quota[a]
+            if c:
+                if c < q and c + fu < q:
                     ok = False
-            else:
-                if f == q - 1:
-                    self.openable[a] -= 1
-                    if self.openable[a] < self.target[a] - self.realized[a]:
+            elif fu == q - 1:
+                self.openable[a] -= 1
+                if self.openable[a] < self.target[a] - self.realized[a]:
+                    ok = False
+        for f, q, pairs in self.joint_checks[ci]:
+            if not counts[f] and future[f] < q:
+                for fa, fb in pairs:
+                    if counts[fa] and counts[fb]:
                         ok = False
-                if f < q:
-                    for ia, ib, ij, _table, comp_a, comp_b in self.indep:
-                        if ij == a:
-                            if (
-                                comp_a[v] in self.realized_sets[ia]
-                                and comp_b[v] in self.realized_sets[ib]
-                            ):
-                                ok = False
         return ok
 
     def _retreat(self, ci: int) -> None:
-        for a in range(self.nsub):
-            v = self.pid[a][ci]
-            fut = self.future[a]
-            fut[v] += 1
-            if self.counts[a][v] == 0 and fut[v] == self.quota[a]:
-                self.openable[a] += 1
+        counts, future, quota, openable = self.counts, self.future, self.quota, self.openable
+        for a, f in self.cell_fibers[ci]:
+            fu = future[f] + 1
+            future[f] = fu
+            if fu == quota[a] and not counts[f]:
+                openable[a] += 1
 
-    # -- include / exclude -------------------------------------------------
+    # -- include / undo ------------------------------------------------------
 
-    def _try_include(self, ci: int) -> Optional[list[int]]:
-        """Place a support point at cell ci.  Returns the list of variables
-        whose symbol high-water mark was bumped (undo data), or None if the
-        placement is rejected; rejected placements leave no state change."""
-        cell = self.cells[ci]
-        for i in range(self.n):
-            if cell[i] > self.maxused[i] + 1:
+    def _try_include(self, ci: int) -> Optional[tuple[int, ...]]:
+        """Place a support point at cell ci and move the frontier past it.
+        Returns the variables whose symbol high-water mark was bumped (undo
+        data), or None if the placement is rejected; rejected placements
+        leave no state change."""
+        maxused = self.maxused
+        bumps: tuple[int, ...] = ()
+        for i, x in enumerate(self.cells[ci]):
+            if x > maxused[i]:
+                if x > maxused[i] + 1:
+                    return None
+                bumps += (i,)
+        counts, quota, realized, target = self.counts, self.quota, self.realized, self.target
+        fibers = self.cell_fibers[ci]
+        for a, f in fibers:
+            c = counts[f]
+            if c >= quota[a] or not c and realized[a] >= target[a]:
                 return None
-        for a in range(self.nsub):
-            v = self.pid[a][ci]
-            c = self.counts[a][v]
-            if c >= self.quota[a]:
-                return None
-            if c == 0 and self.realized[a] >= self.target[a]:
-                return None
-        for base, joint in self.fd_pairs:
-            if self.counts[base][self.pid[base][ci]] > 0 and self.counts[joint][self.pid[joint][ci]] == 0:
+        for base, joint in self.fd_checks[ci]:
+            if counts[base] and not counts[joint]:
                 return None
 
-        realize_events: list[tuple[int, int]] = []
-        for a in range(self.nsub):
-            v = self.pid[a][ci]
-            self.counts[a][v] += 1
-            if self.counts[a][v] == 1:
-                self.realized[a] += 1
-                if self.future[a][v] >= self.quota[a]:
-                    self.openable[a] -= 1
-                if a in self.realized_sets:
-                    self.realized_sets[a].add(v)
-                realize_events.append((a, v))
-        bumps: list[int] = []
-        for i in range(self.n):
-            if cell[i] == self.maxused[i] + 1:
-                self.maxused[i] = cell[i]
-                bumps.append(i)
-        self.placed += 1
-        self.chosen.append(ci)
-
+        # place the point and move the frontier in one pass: a fiber holding
+        # the point is never empty, so of _advance's rules only the capacity
+        # rule applies; the realize checks read partner counts, so they run
+        # once every fiber of the cell is updated
+        future, openable = self.future, self.openable
         ok = True
-        for ia, ib, ij, table, _ca, _cb in self.indep:
-            for a, v in realize_events:
-                if a == ia:
-                    for vb in self.realized_sets[ib]:
-                        vj = table[v][vb]
-                        if self.counts[ij][vj] == 0 and self.future[ij][vj] < self.quota[ij]:
-                            ok = False
-                elif a == ib:
-                    for va in self.realized_sets[ia]:
-                        vj = table[va][v]
-                        if self.counts[ij][vj] == 0 and self.future[ij][vj] < self.quota[ij]:
-                            ok = False
-        if ok:
-            ok = self._advance(ci)
+        for a, f in fibers:
+            c = counts[f] + 1
+            counts[f] = c
+            fu = future[f] - 1
+            future[f] = fu
+            q = quota[a]
+            if c == 1:
+                realized[a] += 1
+                if fu >= q - 1:
+                    openable[a] -= 1
+            if c < q and c + fu < q:
+                ok = False
+        for f, checks in self.realize_checks[ci]:
+            if counts[f] == 1:
+                for partner, joint, q in checks:
+                    if counts[partner] and not counts[joint] and future[joint] < q:
+                        ok = False
+        for i in bumps:
+            maxused[i] += 1
+        self.chosen.append(ci)
         if ok:
             return bumps
         self._undo_include(ci, bumps)
         return None
 
-    def _undo_include(self, ci: int, bumps: list[int]) -> None:
-        self._retreat(ci)
+    def _undo_include(self, ci: int, bumps: tuple[int, ...]) -> None:
         self.chosen.pop()
-        self.placed -= 1
         for i in bumps:
             self.maxused[i] -= 1
-        for a in range(self.nsub):
-            v = self.pid[a][ci]
-            self.counts[a][v] -= 1
-            if self.counts[a][v] == 0:
-                self.realized[a] -= 1
-                if self.future[a][v] >= self.quota[a]:
-                    self.openable[a] += 1
-                if a in self.realized_sets:
-                    self.realized_sets[a].discard(v)
+        counts, future, quota, realized, openable = self.counts, self.future, self.quota, self.realized, self.openable
+        for a, f in self.cell_fibers[ci]:
+            fu = future[f] + 1
+            future[f] = fu
+            c = counts[f] - 1
+            counts[f] = c
+            if not c:
+                realized[a] -= 1
+                if fu >= quota[a]:
+                    openable[a] += 1
 
     # -- depth-first search --------------------------------------------------
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self._max_nodes:
-            raise _BudgetHit
-        if self.nodes % 2048 == 0 and time.monotonic() > self._deadline:
-            raise _BudgetHit
+    def _dfs(self, start_cell: int) -> None:
+        """Explore every completion of the current state from start_cell.
 
-    def _dfs(self, ci: int) -> None:
-        self._tick()
-        if self.placed == self.m_total:
-            # quota accounting makes any full placement a valid support
-            raise _FoundSupport(list(self.chosen))
-        if ci == self.ncells or self.ncells - ci < self.m_total - self.placed:
-            return
-        bumps = self._try_include(ci)
-        if bumps is not None:
-            self._dfs(ci + 1)
-            self._undo_include(ci, bumps)
-        if self._advance(ci):
-            self._dfs(ci + 1)
-        self._retreat(ci)
+        One node is counted per visited state; the budget is checked at
+        each count and the clock every 2048 nodes."""
+        ncells, m_total, chosen = self.ncells, self.m_total, self.chosen
+        max_nodes, deadline, clock = self._max_nodes, self._deadline, time.monotonic
+        try_include, undo_include = self._try_include, self._undo_include
+        advance, retreat = self._advance, self._retreat
+        nodes = self.nodes
+
+        def visit(ci: int) -> None:
+            nonlocal nodes
+            nodes += 1
+            if nodes > max_nodes or not nodes % 2048 and clock() > deadline:
+                raise _BudgetHit
+            need = m_total - len(chosen)
+            if not need:
+                # quota accounting makes any full placement a valid support
+                raise _FoundSupport(list(chosen))
+            if ncells - ci < need:
+                return
+            bumps = try_include(ci)
+            if bumps is not None:
+                visit(ci + 1)
+                undo_include(ci, bumps)
+            if advance(ci):
+                visit(ci + 1)
+            retreat(ci)
+
+        try:
+            visit(start_cell)
+        finally:
+            self.nodes = nodes
 
     def replay_prefix(self, prefix: Sequence[bool]) -> bool:
         """Apply include/exclude decisions for cells 0..len(prefix)-1."""
@@ -486,27 +532,47 @@ def _parallel_task(payload) -> tuple[str, Optional[list[int]], int]:
     return status.value, support, engine.nodes
 
 
-def _frontier_prefixes(spec: SupportSpec, hints: Sequence[Hint], min_leaves: int) -> tuple[Optional[list[int]], list[tuple[bool, ...]]]:
+def _frontier_prefixes(spec: SupportSpec, hints: Sequence[Hint], min_leaves: int) -> tuple[Optional[list[int]], list[tuple[bool, ...]], int]:
     """Expand the decision tree breadth-first until enough live subtree
-    roots exist.  Returns (solution, prefixes); a solution short-circuits."""
+    roots exist.  Returns (solution, prefixes, nodes), where every prefix
+    replayed here counts as one node; a solution short-circuits."""
     level: list[tuple[bool, ...]] = [()]
     depth = 0
+    nodes = 0
     grid = math.prod(spec.alphabet_sizes())
     while len(level) < min_leaves and depth < grid:
         nxt: list[tuple[bool, ...]] = []
         for prefix in level:
+            nodes += 1
             engine = _Engine(spec, hints)
             if not engine.replay_prefix(prefix):
                 continue
-            if engine.placed == engine.m_total:
-                return list(engine.chosen), []
+            if len(engine.chosen) == engine.m_total:
+                return list(engine.chosen), [], nodes
             for take in (True, False):
                 nxt.append(prefix + (take,))
         if not nxt:
-            return None, []
+            return None, [], nodes
         level = nxt
         depth += 1
-    return None, level
+    return None, level, nodes
+
+
+def _check_hints(spec: SupportSpec, hints: Sequence[Hint]) -> None:
+    """Reject any hint that is not one of the spec's structural hints."""
+    variables = range(1, spec.n + 1)
+    for hint in hints:
+        if isinstance(hint, Independence):
+            groups = (hint.alpha, hint.beta)
+        elif isinstance(hint, FunctionalDependence):
+            groups = (hint.base, hint.extension)
+        else:
+            raise ValueError(f"unknown hint {hint!r}")
+        if not all(isinstance(g, frozenset) and all(isinstance(i, int) and i in variables for i in g) for g in groups):
+            raise ValueError(f"hint fields must be frozensets of variable indices 1..{spec.n}: {hint!r}")
+    derived = structural_hints(spec.vector())
+    if not all(hint in derived for hint in hints):
+        raise ValueError("hints must be identities of the spec's log-size vector (structural_hints)")
 
 
 def search(
@@ -520,17 +586,17 @@ def search(
     Single-worker mode (the default) is fully deterministic: identical
     spec, hints and budget reproduce the same outcome and witness.  With
     workers > 1 subtrees are explored in separate processes and the first
-    witness wins, so the witness may vary between runs.
+    witness wins, so the witness may vary between runs; the node count
+    then adds the breadth-first frontier to the workers' subtrees.
 
-    Every hint must be one of ``structural_hints(spec.vector())``; any
-    other hint raises ValueError, because it could prune every realization
-    and turn a feasible spec into a false EXHAUSTED_INFEASIBLE.
+    Every hint must be one of ``structural_hints(spec.vector())`` with
+    frozenset fields; any other hint raises ValueError, because it could
+    prune every realization and turn a feasible spec into a false
+    EXHAUSTED_INFEASIBLE.
     """
     _require_valid(spec)
     if hints:
-        derived = structural_hints(spec.vector())
-        if not all(hint in derived for hint in hints):
-            raise ValueError("hints must be identities of the spec's log-size vector (structural_hints)")
+        _check_hints(spec, hints)
     budget = budget or Budget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
@@ -541,18 +607,17 @@ def search(
         pmf = engine.pmf_from_support(support) if support is not None else None
         return SearchOutcome(status, pmf, engine.nodes, time.monotonic() - start)
 
-    solution, prefixes = _frontier_prefixes(spec, hints, min_leaves=workers * 4)
+    solution, prefixes, total_nodes = _frontier_prefixes(spec, hints, min_leaves=workers * 4)
     if solution is not None:
         pmf = _Engine(spec, hints).pmf_from_support(solution)
-        return SearchOutcome(SearchStatus.FOUND, pmf, len(solution), time.monotonic() - start)
+        return SearchOutcome(SearchStatus.FOUND, pmf, total_nodes, time.monotonic() - start)
     if not prefixes:
-        return SearchOutcome(SearchStatus.EXHAUSTED_INFEASIBLE, None, 0, time.monotonic() - start)
+        return SearchOutcome(SearchStatus.EXHAUSTED_INFEASIBLE, None, total_nodes, time.monotonic() - start)
 
     share = max(1, budget.max_nodes // len(prefixes))
     payloads = [
         (spec, hints, prefix, share, deadline) for prefix in prefixes
     ]
-    total_nodes = 0
     budget_hit = False
     found: Optional[list[int]] = None
     ctx = multiprocessing.get_context()

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +243,34 @@ class TestCatalogAndUsage:
         main(["inner", fx("g.vec"), "omega"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_huge_prime_coordinate_is_bounded(self, tmp_path):
+        # the first coordinate is log of the prime 10**18 + 3
+        p = "1000000000000000003"
+        vec = tmp_path / "big.vec"
+        vec.write_text(json.dumps({"n": 3, "coords": [
+            f"log {p}", "log 2", "log 2", f"log {2 * int(p)}", f"log {2 * int(p)}", "log 4", f"log {4 * int(p)}",
+        ]}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "entrocone.cli", "gamma", str(vec)],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert time.monotonic() - start < 2
+        assert proc.returncode in (0, EX_DATAERR)
+
+    @pytest.mark.parametrize("command", ["gamma", "spec"])
+    def test_integer_above_factoring_cap_is_data_error(self, tmp_path, capsys, command):
+        vec = tmp_path / "huge.vec"
+        vec.write_text(json.dumps({"n": 1, "coords": [f"log {3 * (2**89 - 1)}"]}))
+        code, report = run(capsys, command, str(vec))
+        assert code == EX_DATAERR
+        assert report is None
+
+    def test_pmf_above_factoring_cap_is_data_error(self, tmp_path, capsys):
+        big = 2**89 - 1
+        pmf = tmp_path / "huge.pmf"
+        pmf.write_text(f"pmf n=1 sizes=2\n0 : 1/{big}\n1 : {big - 1}/{big}\n")
+        code, report = run(capsys, "entropy", str(pmf))
+        assert code == EX_DATAERR
+        assert report is None

@@ -53,6 +53,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LogLinear({1: Fraction(1)})
 
+    def test_large_factors_split_without_trial_division(self):
+        # 10**18 + 3 is prime; trial division up to its root would run for hours
+        assert from_log_int(10**18 + 3).terms == {10**18 + 3: Fraction(1)}
+        p, q = 2**31 - 1, 2**32 - 5
+        assert from_log_int(12 * p * q).terms == {2: 2, 3: 1, p: 1, q: 1}
+        assert LogLinear({2**61 - 1: 1}).terms == {2**61 - 1: Fraction(1)}
+        with pytest.raises(ValueError):
+            LogLinear({(2**31 - 1) * (2**32 - 5): 1})
+
+    def test_factorization_cap_is_value_error(self):
+        mersenne89 = 2**89 - 1  # prime, above the 2**64 cap
+        with pytest.raises(ValueError, match="too large"):
+            from_log_int(3 * mersenne89)
+        with pytest.raises(ValueError, match="too large"):
+            LogLinear({mersenne89: 1})
+        # small prime factors are divided out before the cap applies
+        assert from_log_int(2**100 * 3**5).terms == {2: 100, 3: 5}
+
     def test_canonicalization_drops_zeros(self):
         assert LogLinear({2: Fraction(0), 3: Fraction(1)}).terms == {3: Fraction(1)}
 

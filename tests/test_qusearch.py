@@ -6,6 +6,8 @@ import pytest
 from entrocone.distributions import entropy_vector, is_quasi_uniform
 from entrocone.logexact import from_log_int
 from entrocone.qusearch import (
+    _Engine,
+    _frontier_prefixes,
     Budget,
     FunctionalDependence,
     Independence,
@@ -153,6 +155,82 @@ class TestSearch:
         assert_realizes(search(PARITY_SPEC, hints=hints, workers=2), PARITY_SPEC)
 
 
+# (status, nodes_explored) at Budget(max_nodes=100_000): parity and f, then
+# specs from perfbench/verdicts.json, fast and slow finds, exhausted ones
+# and the budget-capped candidate.  Hints off and on give the same counts.
+NODE_COUNTS = [
+    ([2, 2, 2, 4, 4, 4, 4], SearchStatus.FOUND, 8),
+    ([4, 4, 4, 16, 16, 16, 48], SearchStatus.FOUND, 76),
+    ([1, 3, 3, 3, 3, 6, 6], SearchStatus.FOUND, 11),
+    ([2, 2, 2, 2, 4, 4, 4], SearchStatus.FOUND, 9),
+    ([3, 5, 5, 15, 15, 15, 30], SearchStatus.FOUND, 2957),
+    ([4, 4, 4, 12, 12, 12, 24], SearchStatus.FOUND, 5938),
+    ([5, 5, 4, 20, 20, 20, 60], SearchStatus.FOUND, 16322),
+    ([3, 3, 3, 6, 6, 6, 12], SearchStatus.EXHAUSTED_INFEASIBLE, 92),
+    ([4, 4, 4, 12, 8, 12, 24], SearchStatus.EXHAUSTED_INFEASIBLE, 2719),
+    ([5, 5, 5, 20, 20, 20, 80], SearchStatus.EXHAUSTED_INFEASIBLE, 1655),
+    ([5, 5, 5, 10, 10, 10, 20], SearchStatus.EXHAUSTED_INFEASIBLE, 14544),
+    ([9, 9, 6, 54, 54, 54, 216], SearchStatus.BUDGET_EXCEEDED, 100_001),
+    ([5, 5, 5, 15, 25, 25, 75], SearchStatus.FOUND, 166),
+]
+
+
+class TestNodeCounts:
+    @pytest.mark.parametrize("hinted", [False, True], ids=["plain", "hinted"])
+    @pytest.mark.parametrize("m,status,nodes", NODE_COUNTS, ids=[",".join(map(str, m)) for m, _, _ in NODE_COUNTS])
+    def test_pinned(self, m, status, nodes, hinted):
+        spec = mkspec(3, m)
+        hints = structural_hints(spec.vector()) if hinted else ()
+        outcome = search(spec, budget=Budget(max_nodes=100_000, max_seconds=600), hints=hints)
+        assert (outcome.status, outcome.nodes_explored) == (status, nodes)
+        if status is SearchStatus.FOUND:
+            assert_realizes(outcome, spec)
+
+    def test_rejected_inclusion_leaves_no_trace(self):
+        # An independence hint can reject a placement after its counters
+        # moved; the rejection must restore them exactly, or the leftover
+        # capacity weakens later pruning (this spec took 267 nodes hinted
+        # when it did not).
+        spec = mkspec(3, [5, 5, 5, 15, 25, 25, 75])
+        rejected = []
+
+        class Checked(_Engine):
+            def _try_include(self, ci):
+                before = (list(self.counts), list(self.future), list(self.openable),
+                          list(self.realized), list(self.maxused), list(self.chosen))
+                bumps = super()._try_include(ci)
+                if bumps is None:
+                    rejected.append(ci)
+                    assert (self.counts, self.future, self.openable, self.realized,
+                            self.maxused, self.chosen) == before
+                return bumps
+
+        engine = Checked(spec, structural_hints(spec.vector()))
+        status, _ = engine.run(100_000, float("inf"))
+        assert status is SearchStatus.FOUND and rejected
+
+    def test_exhausted_search_restores_the_start_state(self):
+        spec = mkspec(3, [4, 4, 4, 12, 8, 12, 24])
+        engine = _Engine(spec, structural_hints(spec.vector()))
+        start = (list(engine.counts), list(engine.future), list(engine.openable), list(engine.realized))
+        assert engine.run(100_000, float("inf"))[0] is SearchStatus.EXHAUSTED_INFEASIBLE
+        assert (engine.counts, engine.future, engine.openable, engine.realized) == start
+
+    def test_parallel_count_includes_the_frontier(self):
+        # parity is solved while the frontier is still expanding: 16
+        # prefixes are replayed, each one node
+        outcome = search(PARITY_SPEC, workers=2)
+        assert_realizes(outcome, PARITY_SPEC)
+        assert outcome.nodes_explored == 16
+
+    def test_parallel_count_adds_frontier_to_workers(self):
+        solution, prefixes, frontier = _frontier_prefixes(F_SPEC, (), min_leaves=8)
+        assert solution is None and len(prefixes) == 8 and frontier == 27
+        outcome = search(F_SPEC, workers=2, budget=Budget(max_seconds=60))
+        assert_realizes(outcome, F_SPEC)
+        assert outcome.nodes_explored > frontier
+
+
 class TestOracle:
     def test_agrees_on_parity(self):
         oracle = brute_force_oracle(PARITY_SPEC)
@@ -251,6 +329,21 @@ class TestHints:
         with pytest.raises(ValueError):
             search(PARITY_SPEC, hints=[bogus], workers=2)
         assert search(PARITY_SPEC).status is SearchStatus.FOUND
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hint_fields_must_be_frozensets(self, workers):
+        fd = next(h for h in structural_hints(PARITY_SPEC.vector()) if isinstance(h, FunctionalDependence))
+        loose = FunctionalDependence(set(fd.base), set(fd.extension))
+        assert loose == fd  # a set equals the frozenset, so membership alone passes
+        with pytest.raises(ValueError, match="frozensets"):
+            search(PARITY_SPEC, hints=[loose], workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hint_indices_must_be_variables(self, workers):
+        with pytest.raises(ValueError, match="frozensets"):
+            search(PARITY_SPEC, hints=[Independence(frozenset({0}), frozenset({4}))], workers=workers)
+        with pytest.raises(ValueError):
+            search(PARITY_SPEC, hints=["not a hint"], workers=workers)
 
     def test_spec_vector_is_log_sizes(self):
         assert F_SPEC.vector() == f_vector()
