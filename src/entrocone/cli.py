@@ -8,6 +8,7 @@ its verdict in the exit code:
     2   inconclusive (search budget exceeded)
     64  usage error
     65  data error in an input file
+    70  internal error (an uncaught exception; the traceback goes to stderr)
 
 Vector files are JSON objects ``{"n": .., "coords": [..]}`` where each
 coordinate is either the shorthand string ``"log a"`` / ``"log a/b"`` or
@@ -22,6 +23,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import bounds, polycone, qusearch
@@ -41,6 +43,7 @@ EX_FALSE = 1
 EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 
 class DataError(Exception):
@@ -237,7 +240,10 @@ def _cmd_inner(args) -> int:
     h = _load_vector(args.vector_file)
     if h.n != 3:
         raise DataError("inner bounds are defined for 3-variable vectors")
-    verdict = bounds.theta_in(h) if args.bound == "theta" else bounds.omega_in(h)
+    try:
+        verdict = bounds.theta_in(h) if args.bound == "theta" else bounds.omega_in(h)
+    except ValueError as exc:
+        raise DataError(f"{args.vector_file}: {exc}") from None
     report = {"command": "inner", "bound": args.bound, **verdict.to_json()}
     _emit(report)
     return 0 if verdict.member else EX_FALSE
@@ -245,7 +251,10 @@ def _cmd_inner(args) -> int:
 
 def _cmd_spec(args) -> int:
     h = _load_vector(args.vector_file)
-    spec = qusearch.spec_from_vector(h)
+    try:
+        spec = qusearch.spec_from_vector(h)
+    except ValueError as exc:
+        raise DataError(f"{args.vector_file}: {exc}") from None
     report = {
         "command": "spec",
         "liftable": spec is not None,
@@ -369,6 +378,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DataError as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except Exception:  # a crash must not read as the negative verdict (1)
+        traceback.print_exc()
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -15,24 +15,39 @@ but refinement is capped at ``_PREC_CAP`` bits, and a value too close to
 its critical point to separate below the cap raises
 :class:`PrecisionExhausted` instead of a verdict.
 
+The enclosures are computed in stdlib :mod:`decimal` with
+``ceil(bits * log10 2) + 2`` significant digits, in explicit contexts that
+never consult the thread's current context.  ``Context.ln`` and
+``Context.exp`` are correctly rounded to nearest whatever the context's
+rounding mode, so the true value lies strictly between the neighbours of
+the result; each ``ln p`` and the final ``exp`` are therefore widened by
+one unit in the last place (``next_minus``/``next_plus``).  Every other
+step (scaling by a coefficient's numerator and denominator, summing) is
+rounded outward, in a ``ROUND_FLOOR`` context for the lower end and a
+``ROUND_CEILING`` context for the upper.  The ends are converted to
+:class:`~fractions.Fraction` exactly, and all comparisons with the
+critical point are exact.
+
 A :class:`LogLinear` value is unit-free.  It stands for ``log x`` of the
 positive real ``x = prod_p p**q_p`` in whatever base the caller prefers;
 ordering, integrality tests and ceilings depend only on ``x``.  The base
 matters for decimal display only, hence the three renderers
 :meth:`LogLinear.approx_bits`, :meth:`LogLinear.approx_ln` and
-:meth:`LogLinear.approx_exp`.
+:meth:`LogLinear.approx_exp`.  Antilogs are only formed, exactly or as an
+enclosure, for values with ``sum_p |q_p| * log2 p`` at most
+``_ANTILOG_BITS_CAP``; larger ones raise :class:`ValueError`, because the
+exact power would take unbounded time and memory and its integer part
+would not print under Python's int-to-str digit limit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
+import decimal
 from enum import IntEnum, unique
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
-
-from mpmath.ctx_iv import MPIntervalContext
 
 __all__ = [
     "LogLinear",
@@ -45,6 +60,8 @@ __all__ = [
 
 _PREC_START = 64
 _PREC_CAP = 1 << 16
+# 2**14_000 has 4215 decimal digits, below the 4300-digit int-to-str limit.
+_ANTILOG_BITS_CAP = 14_000
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -176,27 +193,14 @@ def _factorize(m: int) -> dict[int, int]:
     return factors
 
 
-# Interval contexts are reused across calls; they are never mutated after
-# creation, so sharing them between threads is safe.
-_CTX_LOCK = threading.Lock()
-_CTX_CACHE: dict[int, MPIntervalContext] = {}
-
-
-def _ctx(prec: int) -> MPIntervalContext:
-    with _CTX_LOCK:
-        ctx = _CTX_CACHE.get(prec)
-        if ctx is None:
-            ctx = MPIntervalContext()
-            ctx.prec = prec
-            _CTX_CACHE[prec] = ctx
-    return ctx
-
-
-def _raw_to_fraction(raw) -> Fraction:
-    # raw is an mpf backing tuple (sign, mantissa, exponent, bitcount)
-    sign, man, exp, _ = raw
-    f = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -f if sign else f
+def _contexts(prec: int) -> tuple[decimal.Context, decimal.Context, decimal.Context]:
+    """Nearest, floor and ceiling decimal contexts for ``prec`` bits."""
+    digits = math.ceil(prec * math.log10(2)) + 2
+    traps = [decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow]
+    return tuple(
+        decimal.Context(prec=digits, rounding=mode, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=traps)
+        for mode in (decimal.ROUND_HALF_EVEN, decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
+    )
 
 
 class LogLinear:
@@ -302,12 +306,29 @@ class LogLinear:
     def _enclosure(self, prec: int, antilog: bool = False) -> tuple[Fraction, Fraction]:
         """Rational interval containing ``sum q_p * ln p`` at given precision,
         or its antilog ``prod p**q_p``."""
-        ctx = _ctx(prec)
-        acc = ctx.mpf(0)
+        if antilog:
+            self._check_antilog_bits()
+        near, down, up = _contexts(prec)
+        lo = hi = decimal.Decimal(0)
         for p, q in self._terms.items():
-            acc += ctx.log(ctx.mpf(p)) * (ctx.mpf(q.numerator) / ctx.mpf(q.denominator))
-        lo, hi = (ctx.exp(acc) if antilog else acc)._mpi_
-        return _raw_to_fraction(lo), _raw_to_fraction(hi)
+            ln = near.ln(p)
+            ln_lo, ln_hi = near.next_minus(ln), near.next_plus(ln)
+            if q < 0:
+                ln_lo, ln_hi = ln_hi, ln_lo
+            lo = down.add(lo, down.divide(down.multiply(ln_lo, q.numerator), q.denominator))
+            hi = up.add(hi, up.divide(up.multiply(ln_hi, q.numerator), q.denominator))
+        if antilog:
+            lo, hi = near.next_minus(near.exp(lo)), near.next_plus(near.exp(hi))
+        return Fraction(lo), Fraction(hi)
+
+    def _check_antilog_bits(self) -> None:
+        """Reject a value whose antilog has more than _ANTILOG_BITS_CAP bits
+        (``sum |q_p| * log2 p``) before any power or enclosure of it."""
+        # the first test keeps the float sum below from overflowing
+        if any(abs(q) > _ANTILOG_BITS_CAP for q in self._terms.values()) or (
+            sum(abs(q) * math.log2(p) for p, q in self._terms.items()) > _ANTILOG_BITS_CAP
+        ):
+            raise ValueError(f"antilog of {self!r} exceeds 2**{_ANTILOG_BITS_CAP}")
 
     def sign(self) -> Sign:
         """Exact sign; decidable because the zero test is structural."""
@@ -341,22 +362,18 @@ class LogLinear:
         Holds exactly when every coefficient is a nonnegative integer; the
         zero value is ``log 1``.
         """
-        m = 1
-        for p, q in self._terms.items():
-            if q.denominator != 1 or q < 0:
-                return None
-            m *= p ** q.numerator
-        return m
+        if any(q.denominator != 1 or q < 0 for q in self._terms.values()):
+            return None
+        self._check_antilog_bits()
+        return math.prod(p ** q.numerator for p, q in self._terms.items())
 
     def as_log_fraction(self) -> Optional[Fraction]:
         """Return ``x`` as an exact fraction iff the value is ``log x`` with
         ``x`` rational, i.e. iff every coefficient is an integer."""
-        x = Fraction(1)
-        for p, q in self._terms.items():
-            if q.denominator != 1:
-                return None
-            x *= Fraction(p) ** q.numerator
-        return x
+        if any(q.denominator != 1 for q in self._terms.values()):
+            return None
+        self._check_antilog_bits()
+        return math.prod((Fraction(p) ** q.numerator for p, q in self._terms.items()), start=Fraction(1))
 
     def pow2_ceil(self) -> int:
         """Ceiling of the antilog ``prod p**q_p`` of a nonnegative value.

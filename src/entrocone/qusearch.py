@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from enum import Enum, unique
@@ -620,6 +619,8 @@ def search(
     ]
     budget_hit = False
     found: Optional[list[int]] = None
+    import multiprocessing  # only the pooled path pays for this import
+
     ctx = multiprocessing.get_context()
     with ctx.Pool(processes=workers) as pool:
         for status_str, support, nodes in pool.imap_unordered(_parallel_task, payloads):

@@ -8,16 +8,18 @@ from pathlib import Path
 
 import pytest
 
+from entrocone import cli
 from entrocone.cli import (
     EX_DATAERR,
     EX_FALSE,
     EX_INCONCLUSIVE,
+    EX_SOFTWARE,
     EX_USAGE,
     main,
     parse_vector_json,
 )
 from entrocone.distributions import parse_pmf
-from entrocone.logexact import LogLinear
+from entrocone.logexact import LogLinear, PrecisionExhausted
 
 from conftest import FIXTURES, g_vector
 
@@ -30,6 +32,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def run_subprocess(*argv, timeout=30):
+    """Run a fresh interpreter with ``argv``, importing this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestVectorFiles:
@@ -251,11 +260,8 @@ class TestCatalogAndUsage:
         vec.write_text(json.dumps({"n": 3, "coords": [
             f"log {p}", "log 2", "log 2", f"log {2 * int(p)}", f"log {2 * int(p)}", "log 4", f"log {4 * int(p)}",
         ]}))
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         start = time.monotonic()
-        proc = subprocess.run([sys.executable, "-m", "entrocone.cli", "gamma", str(vec)],
-                              capture_output=True, text=True, env=env, timeout=30)
+        proc = run_subprocess("-m", "entrocone.cli", "gamma", str(vec))
         assert time.monotonic() - start < 2
         assert proc.returncode in (0, EX_DATAERR)
 
@@ -274,3 +280,52 @@ class TestCatalogAndUsage:
         code, report = run(capsys, "entropy", str(pmf))
         assert code == EX_DATAERR
         assert report is None
+
+
+def _log2_vector(multiples) -> dict:
+    return {"n": 3, "coords": [{"log_terms": {"2": f"{k * 10**12}/1"}} for k in multiples]}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("multiples, argv", [
+        ((1, 1, 1, 2, 2, 2, 3), ["spec"]),
+        ((1, 1, 1, 2, 2, 2, 2), ["spec"]),
+        ((1, 1, 1, 2, 2, 2, 2), ["inner", "theta"]),
+        ((1, 1, 1, 2, 2, 2, 2), ["inner", "omega"]),
+    ])
+    def test_huge_antilog_is_data_error(self, tmp_path, multiples, argv):
+        # exponents of 10**12 used to run 2**10**12 to completion
+        vec = tmp_path / "hostile.vec"
+        vec.write_text(json.dumps(_log2_vector(multiples)))
+        start = time.monotonic()
+        proc = run_subprocess("-m", "entrocone.cli", argv[0], str(vec), *argv[1:])
+        assert time.monotonic() - start < 2
+        assert proc.returncode == EX_DATAERR
+        assert "antilog" in proc.stderr and proc.stdout == ""
+
+    def test_crash_is_internal_error(self, tmp_path):
+        # a 1000-cell grid recurses past the interpreter's limit
+        spec = tmp_path / "deep.json"
+        spec.write_text(json.dumps({"n": 3, "m": {
+            "1": 10, "2": 10, "3": 10, "12": 100, "13": 100, "23": 100, "123": 1000,
+        }}))
+        proc = run_subprocess("-m", "entrocone.cli", "search", str(spec), "--budget-nodes", "5000")
+        assert proc.returncode == EX_SOFTWARE
+        assert "RecursionError" in proc.stderr
+
+    def test_precision_exhausted_is_internal_error(self, monkeypatch, capsys):
+        def exhausted(_h):
+            raise PrecisionExhausted("unresolved")
+
+        monkeypatch.setattr(cli.polycone, "in_gamma_n", exhausted)
+        code = main(["gamma", fx("f.vec")])
+        captured = capsys.readouterr()
+        assert code == EX_SOFTWARE and captured.out == ""
+        assert "PrecisionExhausted" in captured.err
+
+
+def test_cli_import_skips_mpmath_and_multiprocessing():
+    probe = "import entrocone.cli, sys; print(sorted({'mpmath', 'multiprocessing'} & set(sys.modules)))"
+    proc = run_subprocess("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

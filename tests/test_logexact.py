@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrocone.logexact import (
+    _ANTILOG_BITS_CAP,
+    _PREC_START,
     LogLinear,
     Sign,
     from_log_int,
@@ -229,3 +232,168 @@ class TestJson:
             LogLinear.from_json({"log_terms": {"four": "1/1"}})
         with pytest.raises(ValueError):
             LogLinear.from_json({"terms": {}})
+
+
+# log2(3) to 100 decimals, recorded once with mpmath 1.3.0 at mp.dps = 200
+# (mpmath.nstr(mpmath.log(3, 2), 101)); mpmath at dps = 120 prints the same
+# digits.  TestExactOracles checks it against exact powers of 2 and 3.
+LOG2_3 = Fraction(
+    "1.58496250072115618145373894394781650875981440769248"
+    "10604557526545410982277943585625222804749180882421"
+)
+LOG2_3_ERROR = Fraction(1, 10**100)
+
+
+def _antilog_power(v: LogLinear) -> tuple[int, int, int]:
+    """(d, num, den) with antilog(v) ** d == num / den exactly, d being the
+    common denominator of the coefficients."""
+    d = math.lcm(*(q.denominator for q in v.terms.values()))
+    exps = {p: int(q * d) for p, q in v.terms.items()}
+    num = math.prod(p**e for p, e in exps.items() if e > 0)
+    den = math.prod(p**-e for p, e in exps.items() if e < 0)
+    return d, num, den
+
+
+def sign_oracle(v: LogLinear) -> Sign:
+    _, num, den = _antilog_power(v)
+    return Sign((num > den) - (num < den))
+
+
+def ceil_root_oracle(v: LogLinear) -> int:
+    """Smallest integer c >= 1 with c ** d >= num / den, by bisection."""
+    d, num, den = _antilog_power(v)
+    lo, hi = 1, 1
+    while hi**d * den < num:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**d * den >= num:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def log2_3_convergents(max_den: int) -> list[tuple[int, int]]:
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    x, out = LOG2_3, []
+    while True:
+        q = math.floor(x)
+        h0, h1, k0, k1 = h1, q * h1 + h0, k1, q * k1 + k0
+        if k1 > max_den:
+            return out
+        out.append((h1, k1))
+        x = 1 / (x - q)
+
+
+# approx_bits(4), approx_ln(4), approx_exp(4) of the first 50 nonzero values
+# of random_loglinear(seeded_rng("approx-pins")), recorded with the
+# interval-arithmetic implementation these renderers replaced.
+APPROX_PINS = [
+    ("9.1542", "6.3452", "569.7374"), ("15.5329", "10.7666", "47411.3058"),
+    ("8.9602", "6.2107", "498.0722"), ("6.9658", "4.8283", "125.0000"),
+    ("-9.3776", "-6.5001", "0.0015"), ("-1.0963", "-0.7599", "0.4677"),
+    ("-5.1293", "-3.5553", "0.0286"), ("9.0000", "6.2383", "512.0000"),
+    ("1.8133", "1.2569", "3.5144"), ("-4.0428", "-2.8022", "0.0607"),
+    ("-18.6062", "-12.8968", "0.0000"), ("15.1562", "10.5055", "36515.0806"),
+    ("4.7877", "3.3186", "27.6214"), ("1.6667", "1.1552", "3.1748"),
+    ("-0.9380", "-0.6502", "0.5220"), ("-1.1496", "-0.7968", "0.4508"),
+    ("12.6331", "8.7566", "6352.4489"), ("-3.1145", "-2.1588", "0.1155"),
+    ("-6.1001", "-4.2283", "0.0146"), ("-12.8699", "-8.9207", "0.0001"),
+    ("6.3923", "4.4308", "84.0000"), ("18.2740", "12.6666", "316981.8485"),
+    ("-3.7663", "-2.6106", "0.0735"), ("0.8656", "0.6000", "1.8222"),
+    ("-0.9709", "-0.6729", "0.5102"), ("-1.6611", "-1.1514", "0.3162"),
+    ("-0.2697", "-0.1870", "0.8295"), ("13.9270", "9.6534", "15575.0834"),
+    ("-5.0049", "-3.4691", "0.0311"), ("-1.0000", "-0.6931", "0.5000"),
+    ("3.0574", "2.1192", "8.3244"), ("7.2348", "5.0148", "150.6231"),
+    ("-2.6416", "-1.8310", "0.1602"), ("-17.5300", "-12.1509", "0.0000"),
+    ("-4.1912", "-2.9051", "0.0547"), ("5.7639", "3.9953", "54.3401"),
+    ("0.2164", "0.1500", "1.1618"), ("-24.2372", "-16.7999", "0.0000"),
+    ("5.8736", "4.0712", "58.6294"), ("14.0368", "9.7296", "16807.0000"),
+    ("-17.0342", "-11.8072", "0.0000"), ("-1.1887", "-0.8240", "0.4387"),
+    ("-18.7714", "-13.0114", "0.0000"), ("6.1197", "4.2418", "69.5352"),
+    ("1.3333", "0.9242", "2.5198"), ("-8.2294", "-5.7042", "0.0033"),
+    ("10.8390", "7.5131", "1831.8023"), ("1.8554", "1.2861", "3.6185"),
+    ("21.5435", "14.9328", "3056610.6819"), ("-19.5508", "-13.5516", "0.0000"),
+]
+
+
+class TestExactOracles:
+    def test_sign_against_integer_powers(self):
+        rng = seeded_rng("sign-oracle")
+        for _ in range(500):
+            v = random_loglinear(rng, primes=(2, 3, 5, 7, 11, 13))
+            assert v.sign() == sign_oracle(v)
+
+    def test_pow2_ceil_against_integer_roots(self):
+        rng = seeded_rng("ceil-oracle")
+        for _ in range(300):
+            v = random_loglinear(rng)
+            if v.sign() == Sign.NEGATIVE:
+                v = -v
+            assert v.pow2_ceil() == ceil_root_oracle(v)
+
+    def test_log2_3_convergents(self):
+        convergents = log2_3_convergents(190537)
+        assert convergents[-1] == (301994, 190537)
+        for a, b in convergents:
+            exact = Sign((2**a > 3**b) - (2**a < 3**b))
+            # the recorded constant orders every convergent correctly ...
+            assert exact == Sign((a > b * LOG2_3) - (a < b * LOG2_3))
+            # ... and so does the enclosure, however close a/b is
+            assert LogLinear({2: a, 3: -b}).sign() == exact
+
+    @pytest.mark.parametrize("e", [20, 40, 60])
+    def test_precision_doubling(self, e):
+        b = 10**e
+        a = round(b * LOG2_3)
+        gap = a - b * LOG2_3  # a*ln2 - b*ln3 = ln2 * (a - b*log2 3)
+        assert abs(gap) > b * LOG2_3_ERROR
+        v = LogLinear({2: a, 3: -b})
+        if e > 20:  # the first pass straddles zero, so refinement must run
+            lo, hi = v._enclosure(_PREC_START)
+            assert lo < 0 < hi
+        assert v.sign() == (Sign.POSITIVE if gap > 0 else Sign.NEGATIVE)
+
+    def test_callers_decimal_context_is_ignored(self):
+        values = [LogLinear({2: 1054, 3: -665}), table2_pair_entropy()]
+        expected = [(v.sign(), v.approx_bits(6), v.approx_exp(6)) for v in values]
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding, ctx.Emax = 3, decimal.ROUND_UP, 10
+            ctx.traps[decimal.Inexact] = True
+            assert [(v.sign(), v.approx_bits(6), v.approx_exp(6)) for v in values] == expected
+
+    def test_displays_pinned(self):
+        rng = seeded_rng("approx-pins")
+        shown = []
+        while len(shown) < len(APPROX_PINS):
+            v = random_loglinear(rng)
+            if v:
+                shown.append((v.approx_bits(4), v.approx_ln(4), v.approx_exp(4)))
+        assert shown == APPROX_PINS
+
+
+class TestAntilogCap:
+    def test_cap_boundary(self):
+        m = LogLinear({2: _ANTILOG_BITS_CAP}).as_log_natural()
+        assert m == 2**_ANTILOG_BITS_CAP
+        assert len(str(m)) < 4300
+        with pytest.raises(ValueError, match="antilog"):
+            LogLinear({2: _ANTILOG_BITS_CAP + 1}).as_log_natural()
+        with pytest.raises(ValueError, match="antilog"):
+            LogLinear({3: -9000}).as_log_fraction()
+
+    def test_integrality_is_decided_before_the_cap(self):
+        huge = LogLinear({2: Fraction(10**12, 7)})
+        assert huge.as_log_natural() is None
+        assert huge.as_log_fraction() is None
+        assert huge.sign() == Sign.POSITIVE
+
+    @pytest.mark.parametrize(
+        "v, method",
+        [(LogLinear({2: 10**12, 3: 1}), m) for m in ("as_log_natural", "as_log_fraction", "pow2_ceil", "approx_exp")]
+        + [(LogLinear({2: Fraction(10**12 + 1, 3)}), m) for m in ("pow2_ceil", "approx_exp")],
+    )
+    def test_huge_exponents_rejected(self, v, method):
+        with pytest.raises(ValueError, match="antilog"):
+            getattr(v, method)()
