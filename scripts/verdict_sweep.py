@@ -3,14 +3,15 @@ the verdicts against the table.
 
     python3 scripts/verdict_sweep.py [--table perfbench/verdicts.json]
 
-Each spec runs single-worker, without hints, at the table's node budget
-(`budget_nodes`).  The run fails (exit 1) when a definite verdict differs
-from the table: an EXHAUSTED_INFEASIBLE the table did not record, or a
-FOUND on a row recorded as infeasible.  A FOUND on a row the table left
-budget-capped passes once its witness is checked to be quasi-uniform with
-the target sizes.  The table is read, never written.  The last lines give
-the total node count, which is deterministic, and the node rate, which
-depends on the machine.
+Each spec runs twice at the table's node budget (`budget_nodes`): once
+plain and once with `structural_hints`, the path `entrocone search`
+takes.  The run fails (exit 1) when a definite verdict of either pass
+differs from the table: an EXHAUSTED_INFEASIBLE the table did not record,
+or a FOUND on a row recorded as infeasible.  A FOUND on a row the table
+left budget-capped passes once its witness is checked to be quasi-uniform
+with the target sizes.  The table is read, never written.  Each pass ends
+with its total node count, which is deterministic, and its node rate,
+which depends on the machine.
 """
 
 from __future__ import annotations
@@ -25,18 +26,14 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from entrocone.distributions import is_quasi_uniform  # noqa: E402
-from entrocone.qusearch import Budget, SearchStatus, SupportSpec, search  # noqa: E402
+from entrocone.qusearch import Budget, SearchStatus, SupportSpec, search, structural_hints  # noqa: E402
 from entrocone.subsets import canonical_order  # noqa: E402
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--table", default=str(ROOT / "perfbench" / "verdicts.json"))
-    args = parser.parse_args(argv)
-    table = json.loads(Path(args.table).read_text(encoding="utf-8"))
+def sweep(table: dict, hinted: bool) -> bool:
+    """Search every spec of the table, print the totals; False on a contradiction."""
     budget = Budget(max_nodes=table["budget_nodes"], max_seconds=float("inf"))
     order = canonical_order(3)
-
     failures: list[str] = []
     statuses = {status: 0 for status in SearchStatus}
     lost = 0
@@ -44,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     for row in table["specs"]:
         spec = SupportSpec(3, dict(zip(order, row["m"])))
-        outcome = search(spec, budget)
+        outcome = search(spec, budget, structural_hints(spec.vector()) if hinted else ())
         nodes += outcome.nodes_explored
         statuses[outcome.status] += 1
         recorded = SearchStatus(row["status"])
@@ -58,14 +55,24 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"{row['m']}: exhausted_infeasible, table says {recorded.value}")
     elapsed = time.perf_counter() - start
 
+    mode = "hinted" if hinted else "plain"
     for line in failures:
-        print(f"MISMATCH {line}")
-    print(f"specs: {len(table['specs'])} at budget {table['budget_nodes']} nodes; "
+        print(f"MISMATCH ({mode}) {line}")
+    print(f"{mode}: {len(table['specs'])} specs at budget {table['budget_nodes']} nodes; "
           + ", ".join(f"{status.value} {count}" for status, count in statuses.items()))
-    print(f"decided in the table but budget-capped here: {lost}")
-    print(f"total nodes: {nodes}")
-    print(f"elapsed: {elapsed:.2f} s, {nodes / elapsed:,.0f} nodes/s")
-    return 1 if failures else 0
+    print(f"{mode}: decided in the table but budget-capped here: {lost}")
+    print(f"{mode}: total nodes: {nodes}")
+    print(f"{mode}: elapsed: {elapsed:.2f} s, {nodes / elapsed:,.0f} nodes/s")
+    return not failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--table", default=str(ROOT / "perfbench" / "verdicts.json"))
+    args = parser.parse_args(argv)
+    table = json.loads(Path(args.table).read_text(encoding="utf-8"))
+    results = [sweep(table, hinted) for hinted in (False, True)]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ its verdict in the exit code:
 
     0   success / membership holds
     1   verdict is negative (not a member, not quasi-uniform, ...)
-    2   inconclusive (search budget exceeded)
+    2   inconclusive (search budget exceeded, or an exact sign left
+        unresolved at the precision cap)
     64  usage error
     65  data error in an input file
     70  internal error (an uncaught exception; the traceback goes to stderr)
@@ -36,7 +37,7 @@ from .distributions import (
     parse_pmf,
     serialize_pmf,
 )
-from .logexact import LogLinear
+from .logexact import LogLinear, PrecisionExhausted
 from .subsets import canonical_order, subset_name
 
 EX_FALSE = 1
@@ -268,14 +269,14 @@ def _cmd_search(args) -> int:
     try:
         spec = qusearch.SupportSpec.from_json(_load_json(args.spec_file))
         ok, witness = qusearch.check_feasibility_necessary(spec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"{args.spec_file}: {exc}") from None
     if not ok:
         _emit({"command": "search", "status": "infeasible_necessary", "witness": witness})
         return EX_FALSE
-    hints = () if args.no_hints else qusearch.structural_hints(spec.vector())
+    hints = qusearch.structural_hints(spec.vector())
     budget = qusearch.Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
-    outcome = qusearch.search(spec, budget=budget, hints=hints, workers=max(1, args.parallel))
+    outcome = qusearch.search(spec, budget=budget, hints=hints)
     report = {
         "command": "search",
         "status": outcome.status.value,
@@ -357,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_file")
     p.add_argument("--budget-nodes", type=int, default=qusearch.Budget().max_nodes)
     p.add_argument("--budget-seconds", type=float, default=qusearch.Budget().max_seconds)
-    p.add_argument("--parallel", type=int, default=0, metavar="WORKERS",
-                   help="explore subtrees in WORKERS processes (non-deterministic witness;"
-                        " the default runs one reproducible worker)")
-    p.add_argument("--no-hints", action="store_true", help="disable structural hints")
     p.add_argument("--witness-out", metavar="FILE", help="also write the witness PMF to FILE")
     p.set_defaults(func=_cmd_search)
 
@@ -378,6 +375,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DataError as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except PrecisionExhausted as exc:  # an answer left open, like a spent budget
+        print(f"entrocone: {exc}", file=sys.stderr)
+        return EX_INCONCLUSIVE
     except Exception:  # a crash must not read as the negative verdict (1)
         traceback.print_exc()
         return EX_SOFTWARE

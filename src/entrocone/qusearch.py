@@ -35,6 +35,9 @@ appear in increasing order of first use along the placement order.  Every
 support set is relabel-equivalent to one satisfying this rule, so the
 rule is sound; it removes the ``prod_i m_i!`` relabeling factor.
 
+One walk decides each spec, so the same spec, hints and budget always give
+the same outcome, node count and witness.
+
 An oracle that enumerates every support of the right size (for small
 grids) provides an independent ground truth for validating the search.
 """
@@ -51,7 +54,7 @@ from typing import Iterable, Optional, Sequence
 
 from .distributions import EntropyVector, JointPMF
 from .logexact import LogLinear
-from .polycone import in_gamma_n
+from .polycone import MAX_VARS, in_gamma_n
 from .subsets import Subset, canonical_order, parse_subset_name, subset_name
 
 __all__ = [
@@ -95,8 +98,22 @@ class SupportSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SupportSpec":
-        n = int(obj["n"])
-        m = {parse_subset_name(name, n): int(v) for name, v in obj["m"].items()}
+        """Parse ``{"n": .., "m": {name: size}}``.  Raises ValueError unless n
+        is an integer in 1..MAX_VARS and every nonempty subset has exactly one
+        integer size of at least 1; n is checked before any subset is listed."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("m"), dict):
+            raise ValueError("spec must be an object with 'n' and an object 'm'")
+        n = obj.get("n")
+        if type(n) is not int or not 1 <= n <= MAX_VARS:
+            raise ValueError(f"variable count {n!r} outside the supported range 1..{MAX_VARS}")
+        m = {parse_subset_name(name, n): v for name, v in obj["m"].items()}
+        if len(m) != len(obj["m"]):
+            raise ValueError("a subset is named more than once")
+        for alpha in canonical_order(n):
+            if alpha not in m:
+                raise ValueError(f"missing target size for subset {subset_name(alpha)}")
+            if type(m[alpha]) is not int or m[alpha] < 1:
+                raise ValueError(f"m_{subset_name(alpha)} must be a positive integer, got {m[alpha]!r}")
         return cls(n, m)
 
 
@@ -240,9 +257,6 @@ class _Engine:
     each cell carries the tuple of its ``(subset, fiber id)`` pairs.  Hints
     add per-cell check tuples that are empty where no hint applies, so
     hinted and plain runs take the same path.
-
-    Mutable state is per-instance; a fresh engine can explore any subtree
-    independently, which is what the parallel driver relies on.
     """
 
     def __init__(self, spec: SupportSpec, hints: Sequence[Hint] = ()):
@@ -453,8 +467,8 @@ class _Engine:
 
     # -- depth-first search --------------------------------------------------
 
-    def _dfs(self, start_cell: int) -> None:
-        """Explore every completion of the current state from start_cell.
+    def _dfs(self) -> None:
+        """Explore every completion of the start state, cell 0 first.
 
         One node is counted per visited state; the budget is checked at
         each count and the clock every 2048 nodes."""
@@ -484,27 +498,15 @@ class _Engine:
             retreat(ci)
 
         try:
-            visit(start_cell)
+            visit(0)
         finally:
             self.nodes = nodes
 
-    def replay_prefix(self, prefix: Sequence[bool]) -> bool:
-        """Apply include/exclude decisions for cells 0..len(prefix)-1."""
-        for ci, take in enumerate(prefix):
-            if take:
-                if self._try_include(ci) is None:
-                    return False
-            else:
-                if not self._advance(ci):
-                    self._retreat(ci)
-                    return False
-        return True
-
-    def run(self, max_nodes: int, deadline: float, start_cell: int = 0) -> tuple[SearchStatus, Optional[list[int]]]:
+    def run(self, max_nodes: int, deadline: float) -> tuple[SearchStatus, Optional[list[int]]]:
         self._max_nodes = max_nodes
         self._deadline = deadline
         try:
-            self._dfs(start_cell)
+            self._dfs()
         except _FoundSupport as hit:
             return SearchStatus.FOUND, hit.support
         except _BudgetHit:
@@ -514,47 +516,6 @@ class _Engine:
     def pmf_from_support(self, support: Sequence[int]) -> JointPMF:
         p = Fraction(1, self.m_total)
         return JointPMF(self.sizes, {self.cells[ci]: p for ci in support})
-
-
-def _require_valid(spec: SupportSpec) -> None:
-    ok, witness = check_feasibility_necessary(spec)
-    if not ok:
-        raise ValueError(f"spec fails necessary feasibility: {witness}")
-
-
-def _parallel_task(payload) -> tuple[str, Optional[list[int]], int]:
-    spec, hints, prefix, max_nodes, deadline = payload
-    engine = _Engine(spec, hints)
-    if not engine.replay_prefix(prefix):
-        return SearchStatus.EXHAUSTED_INFEASIBLE.value, None, 0
-    status, support = engine.run(max_nodes, deadline, start_cell=len(prefix))
-    return status.value, support, engine.nodes
-
-
-def _frontier_prefixes(spec: SupportSpec, hints: Sequence[Hint], min_leaves: int) -> tuple[Optional[list[int]], list[tuple[bool, ...]], int]:
-    """Expand the decision tree breadth-first until enough live subtree
-    roots exist.  Returns (solution, prefixes, nodes), where every prefix
-    replayed here counts as one node; a solution short-circuits."""
-    level: list[tuple[bool, ...]] = [()]
-    depth = 0
-    nodes = 0
-    grid = math.prod(spec.alphabet_sizes())
-    while len(level) < min_leaves and depth < grid:
-        nxt: list[tuple[bool, ...]] = []
-        for prefix in level:
-            nodes += 1
-            engine = _Engine(spec, hints)
-            if not engine.replay_prefix(prefix):
-                continue
-            if len(engine.chosen) == engine.m_total:
-                return list(engine.chosen), [], nodes
-            for take in (True, False):
-                nxt.append(prefix + (take,))
-        if not nxt:
-            return None, [], nodes
-        level = nxt
-        depth += 1
-    return None, level, nodes
 
 
 def _check_hints(spec: SupportSpec, hints: Sequence[Hint]) -> None:
@@ -574,68 +535,28 @@ def _check_hints(spec: SupportSpec, hints: Sequence[Hint]) -> None:
         raise ValueError("hints must be identities of the spec's log-size vector (structural_hints)")
 
 
-def search(
-    spec: SupportSpec,
-    budget: Optional[Budget] = None,
-    hints: Sequence[Hint] = (),
-    workers: int = 1,
-) -> SearchOutcome:
+def search(spec: SupportSpec, budget: Optional[Budget] = None, hints: Sequence[Hint] = ()) -> SearchOutcome:
     """Look for a support realizing the spec; uniform PMF on success.
 
-    Single-worker mode (the default) is fully deterministic: identical
-    spec, hints and budget reproduce the same outcome and witness.  With
-    workers > 1 subtrees are explored in separate processes and the first
-    witness wins, so the witness may vary between runs; the node count
-    then adds the breadth-first frontier to the workers' subtrees.
+    Deterministic: identical spec, hints and budget reproduce the same
+    outcome, node count and witness.
 
     Every hint must be one of ``structural_hints(spec.vector())`` with
     frozenset fields; any other hint raises ValueError, because it could
     prune every realization and turn a feasible spec into a false
     EXHAUSTED_INFEASIBLE.
     """
-    _require_valid(spec)
+    ok, witness = check_feasibility_necessary(spec)
+    if not ok:
+        raise ValueError(f"spec fails necessary feasibility: {witness}")
     if hints:
         _check_hints(spec, hints)
     budget = budget or Budget()
     start = time.monotonic()
-    deadline = start + budget.max_seconds
-
-    if workers <= 1:
-        engine = _Engine(spec, hints)
-        status, support = engine.run(budget.max_nodes, deadline)
-        pmf = engine.pmf_from_support(support) if support is not None else None
-        return SearchOutcome(status, pmf, engine.nodes, time.monotonic() - start)
-
-    solution, prefixes, total_nodes = _frontier_prefixes(spec, hints, min_leaves=workers * 4)
-    if solution is not None:
-        pmf = _Engine(spec, hints).pmf_from_support(solution)
-        return SearchOutcome(SearchStatus.FOUND, pmf, total_nodes, time.monotonic() - start)
-    if not prefixes:
-        return SearchOutcome(SearchStatus.EXHAUSTED_INFEASIBLE, None, total_nodes, time.monotonic() - start)
-
-    share = max(1, budget.max_nodes // len(prefixes))
-    payloads = [
-        (spec, hints, prefix, share, deadline) for prefix in prefixes
-    ]
-    budget_hit = False
-    found: Optional[list[int]] = None
-    import multiprocessing  # only the pooled path pays for this import
-
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(processes=workers) as pool:
-        for status_str, support, nodes in pool.imap_unordered(_parallel_task, payloads):
-            total_nodes += nodes
-            if status_str == SearchStatus.FOUND.value:
-                found = support
-                pool.terminate()
-                break
-            if status_str == SearchStatus.BUDGET_EXCEEDED.value:
-                budget_hit = True
-    elapsed = time.monotonic() - start
-    if found is not None:
-        return SearchOutcome(SearchStatus.FOUND, _Engine(spec, hints).pmf_from_support(found), total_nodes, elapsed)
-    status = SearchStatus.BUDGET_EXCEEDED if budget_hit else SearchStatus.EXHAUSTED_INFEASIBLE
-    return SearchOutcome(status, None, total_nodes, elapsed)
+    engine = _Engine(spec, hints)
+    status, support = engine.run(budget.max_nodes, start + budget.max_seconds)
+    pmf = engine.pmf_from_support(support) if support is not None else None
+    return SearchOutcome(status, pmf, engine.nodes, time.monotonic() - start)
 
 
 def brute_force_oracle(spec: SupportSpec, cap: int = 24) -> SearchOutcome:

@@ -6,11 +6,13 @@ comparisons are exact unless a tolerance is stated inline.
 """
 
 import itertools
+import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
 from entrocone.bounds import OMEGA_FACE, THETA_FACE, omega_in, theta_in
+from entrocone.cli import parse_vector_json
 from entrocone.distributions import (
     EntropyVector,
     JointPMF,
@@ -290,6 +292,24 @@ def test_criterion_8_open_problem_fixture():
             verdict = is_quasi_uniform(outcome.pmf)
             assert verdict.is_qu and verdict.support_sizes == spec.m
             assert entropy_vector(outcome.pmf) == vec
+
+
+def test_candidate_witness_fixture():
+    # closed form, no search: cell (x1,x2) is used iff d = (x2-x1) mod 9 < 6,
+    # and then holds the four x3 in 0..5 outside {2k, 2k+1}, k = d // 2
+    pmf = parse_pmf(fixture_text("omega_candidate_witness.pmf"))
+    assert set(pmf.mass) == {
+        (x1, x2, x3)
+        for x1, x2, x3 in itertools.product(range(9), range(9), range(6))
+        if (x2 - x1) % 9 < 6 and x3 // 2 != (x2 - x1) % 9 // 2
+    }
+    verdict = is_quasi_uniform(pmf)
+    assert verdict.is_qu
+    assert [verdict.support_sizes[a] for a in canonical_order(3)] == [9, 9, 6, 54, 54, 54, 216]
+    h = entropy_vector(pmf)
+    assert h == parse_vector_json(json.loads(fixture_text("omega_candidate.vec")))
+    assert omega_in(h).member
+    assert not theta_in(h).member
 
 
 def test_fixture_files_round_trip(table1_pmf, table2_pmf):

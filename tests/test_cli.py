@@ -238,9 +238,10 @@ class TestCatalogAndUsage:
         assert report is None
 
     def test_deterministic_flag_is_gone(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", fx("spec_f.json"), "--deterministic"])
-        assert exc.value.code == EX_USAGE
+        for flags in (["--deterministic"], ["--parallel", "2"], ["--no-hints"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["search", fx("spec_f.json"), *flags])
+            assert exc.value.code == EX_USAGE
 
     def test_unknown_face_is_data_error(self, capsys):
         code, _ = run(capsys, "face", fx("f.vec"), "sigma")
@@ -313,15 +314,87 @@ class TestExitCodes:
         assert proc.returncode == EX_SOFTWARE
         assert "RecursionError" in proc.stderr
 
-    def test_precision_exhausted_is_internal_error(self, monkeypatch, capsys):
+    def test_precision_exhausted_is_inconclusive(self, monkeypatch, capsys):
         def exhausted(_h):
             raise PrecisionExhausted("unresolved")
 
         monkeypatch.setattr(cli.polycone, "in_gamma_n", exhausted)
         code = main(["gamma", fx("f.vec")])
         captured = capsys.readouterr()
-        assert code == EX_SOFTWARE and captured.out == ""
-        assert "PrecisionExhausted" in captured.err
+        assert code == EX_INCONCLUSIVE and captured.out == ""
+        assert captured.err == "entrocone: unresolved\n"
+
+
+BAD = object()  # stands for the bad input file in an argv
+_GOOD_INPUT = {"pmf": "table1.pmf", "vec": "f.vec", "spec": "spec_f.json"}
+_BIG = 3 * (2**89 - 1)  # above the factoring cap
+_BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
+    "pmf": {
+        "missing_file": None,
+        "malformed": "pmf n=3\n0 0 0 : 1/1\n",
+        "decimal": "pmf n=1 sizes=2\n0 : 0.5\n1 : 0.5\n",
+        "above_factoring_cap": f"pmf n=1 sizes=2\n0 : 1/{_BIG}\n1 : {_BIG - 1}/{_BIG}\n",
+    },
+    "vec": {
+        "missing_file": None,
+        "invalid_json": "{",
+        "not_an_object": "[]",
+        "n7": json.dumps({"n": 7, "coords": ["log 2"] * 127}),
+        "decimal": json.dumps({"n": 3, "coords": ["log 2"] * 6 + [0.5]}),
+        "above_factoring_cap": json.dumps({"n": 3, "coords": [f"log {_BIG}"] + ["log 2"] * 6}),
+    },
+    "spec": {
+        "missing_file": None,
+        "invalid_json": "{",
+        "not_an_object": "[]",
+        "n7": json.dumps({"n": 7, "m": {"1": 2}}),
+        "n20": json.dumps({"n": 20, "m": {"1": 2}}),  # rejected before 2**20 subsets are listed
+        "missing_subset": json.dumps({"n": 2, "m": {"1": 2, "2": 2}}),
+        "zero_size": json.dumps({"n": 2, "m": {"1": 0, "2": 2, "12": 2}}),
+        "decimal": json.dumps({"n": 1, "m": {"1": 1.5}}),
+        "above_factoring_cap": json.dumps({"n": 1, "m": {"1": _BIG}}),
+    },
+}
+_COMMANDS = {  # command: (input file kind, arguments after the file)
+    "entropy": ("pmf", []),
+    "qu-check": ("pmf", []),
+    "gamma": ("vec", []),
+    "decompose": ("vec", ["omega"]),
+    "face": ("vec", ["omega"]),
+    "inner": ("vec", ["omega"]),
+    "spec": ("vec", []),
+    "search": ("spec", ["--budget-nodes", "10"]),
+    "catalog": (None, []),
+}
+
+
+def _contract_cases():
+    for cmd, (kind, tail) in _COMMANDS.items():
+        good = [fx(_GOOD_INPUT[kind])] if kind else []
+        yield pytest.param([cmd, *good, *tail, "--bogus"], None, id=f"{cmd}-unknown_flag")
+        if kind is None:
+            continue
+        yield pytest.param([cmd], None, id=f"{cmd}-missing_argument")
+        for case, content in _BAD_INPUTS[kind].items():
+            if (cmd, case) != ("qu-check", "above_factoring_cap"):  # the QU check factors nothing
+                yield pytest.param([cmd, BAD, *tail], content, id=f"{cmd}-{case}")
+        if tail == ["omega"]:
+            yield pytest.param([cmd, *good, "sigma"], None, id=f"{cmd}-unknown_face")
+
+
+@pytest.mark.parametrize("argv, content", list(_contract_cases()))
+def test_bad_input_is_usage_or_data_error(tmp_path, capsys, argv, content):
+    # exit 1 is the negative verdict and nothing else: every bad input is a
+    # usage error (64) or a data error (65), with no report on stdout
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    try:
+        code = main([str(path) if arg is BAD else arg for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (EX_USAGE, EX_DATAERR)
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_import_skips_mpmath_and_multiprocessing():

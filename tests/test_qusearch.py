@@ -7,7 +7,6 @@ from entrocone.distributions import entropy_vector, is_quasi_uniform
 from entrocone.logexact import from_log_int
 from entrocone.qusearch import (
     _Engine,
-    _frontier_prefixes,
     Budget,
     FunctionalDependence,
     Independence,
@@ -58,6 +57,23 @@ class TestSpecFromVector:
         blob = F_SPEC.to_json()
         assert blob["m"]["123"] == 48
         assert SupportSpec.from_json(blob) == F_SPEC
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        {"n": 2},
+        {"n": 0, "m": {}},
+        {"n": 20, "m": {"1": 2}},
+        {"n": "3", "m": {"1": 2}},
+        {"n": 2, "m": {"1": 2, "2": 2}},
+        {"n": 2, "m": {"1": 0, "2": 2, "12": 2}},
+        {"n": 2, "m": {"1": 2, "2": 2, "12": 4.0}},
+        {"n": 2, "m": {"1": 2, "2": 2, "12": 4, "21": 4}},
+        {"n": 2, "m": {"1": 2, "2": 2, "12": 4, "3": 2}},
+    ], ids=["not_an_object", "no_sizes", "n0", "n20", "n_string", "missing_subset", "zero_size",
+            "decimal_size", "named_twice", "unknown_variable"])
+    def test_from_json_rejects_malformed_specs(self, obj):
+        with pytest.raises(ValueError):
+            SupportSpec.from_json(obj)
 
 
 class TestFeasibilityNecessary:
@@ -142,18 +158,6 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(mkspec(2, [2, 2, 3]))
 
-    def test_parallel_mode_smoke(self):
-        outcome = search(PARITY_SPEC, workers=2)
-        assert outcome.status is SearchStatus.FOUND
-        assert is_quasi_uniform(outcome.pmf).is_qu
-        outcome48 = search(F_SPEC, workers=2, budget=Budget(max_seconds=60))
-        assert_realizes(outcome48, F_SPEC)
-
-    def test_parallel_mode_sends_hints_to_workers(self):
-        hints = structural_hints(PARITY_SPEC.vector())
-        assert any(isinstance(h, FunctionalDependence) for h in hints)
-        assert_realizes(search(PARITY_SPEC, hints=hints, workers=2), PARITY_SPEC)
-
 
 # (status, nodes_explored) at Budget(max_nodes=100_000): parity and f, then
 # specs from perfbench/verdicts.json, fast and slow finds, exhausted ones
@@ -215,20 +219,6 @@ class TestNodeCounts:
         start = (list(engine.counts), list(engine.future), list(engine.openable), list(engine.realized))
         assert engine.run(100_000, float("inf"))[0] is SearchStatus.EXHAUSTED_INFEASIBLE
         assert (engine.counts, engine.future, engine.openable, engine.realized) == start
-
-    def test_parallel_count_includes_the_frontier(self):
-        # parity is solved while the frontier is still expanding: 16
-        # prefixes are replayed, each one node
-        outcome = search(PARITY_SPEC, workers=2)
-        assert_realizes(outcome, PARITY_SPEC)
-        assert outcome.nodes_explored == 16
-
-    def test_parallel_count_adds_frontier_to_workers(self):
-        solution, prefixes, frontier = _frontier_prefixes(F_SPEC, (), min_leaves=8)
-        assert solution is None and len(prefixes) == 8 and frontier == 27
-        outcome = search(F_SPEC, workers=2, budget=Budget(max_seconds=60))
-        assert_realizes(outcome, F_SPEC)
-        assert outcome.nodes_explored > frontier
 
 
 class TestOracle:
@@ -326,24 +316,20 @@ class TestHints:
         bogus = FunctionalDependence(frozenset({1}), frozenset({2}))
         with pytest.raises(ValueError):
             search(PARITY_SPEC, hints=[bogus])
-        with pytest.raises(ValueError):
-            search(PARITY_SPEC, hints=[bogus], workers=2)
         assert search(PARITY_SPEC).status is SearchStatus.FOUND
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_hint_fields_must_be_frozensets(self, workers):
+    def test_hint_fields_must_be_frozensets(self):
         fd = next(h for h in structural_hints(PARITY_SPEC.vector()) if isinstance(h, FunctionalDependence))
         loose = FunctionalDependence(set(fd.base), set(fd.extension))
         assert loose == fd  # a set equals the frozenset, so membership alone passes
         with pytest.raises(ValueError, match="frozensets"):
-            search(PARITY_SPEC, hints=[loose], workers=workers)
+            search(PARITY_SPEC, hints=[loose])
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_hint_indices_must_be_variables(self, workers):
+    def test_hint_indices_must_be_variables(self):
         with pytest.raises(ValueError, match="frozensets"):
-            search(PARITY_SPEC, hints=[Independence(frozenset({0}), frozenset({4}))], workers=workers)
+            search(PARITY_SPEC, hints=[Independence(frozenset({0}), frozenset({4}))])
         with pytest.raises(ValueError):
-            search(PARITY_SPEC, hints=["not a hint"], workers=workers)
+            search(PARITY_SPEC, hints=["not a hint"])
 
     def test_spec_vector_is_log_sizes(self):
         assert F_SPEC.vector() == f_vector()
