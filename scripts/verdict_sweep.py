@@ -9,9 +9,11 @@ takes.  The run fails (exit 1) when a definite verdict of either pass
 differs from the table: an EXHAUSTED_INFEASIBLE the table did not record,
 or a FOUND on a row recorded as infeasible.  A FOUND on a row the table
 left budget-capped passes once its witness is checked to be quasi-uniform
-with the target sizes.  The table is read, never written.  Each pass ends
-with its total node count, which is deterministic, and its node rate,
-which depends on the machine.
+with the target sizes.  The plain pass also fails when a spec's node
+count differs from the row's `nodes`: the decision tree is deterministic,
+so any drift means the walk changed.  The table is read, never written.
+Each pass ends with its total node count and its node rate, which
+depends on the machine.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ def sweep(table: dict, hinted: bool) -> bool:
                 failures.append(f"{row['m']}: found, table says {recorded.value}")
         elif recorded is not SearchStatus.EXHAUSTED_INFEASIBLE:
             failures.append(f"{row['m']}: exhausted_infeasible, table says {recorded.value}")
+        if not hinted and outcome.nodes_explored != row["nodes"]:
+            failures.append(f"{row['m']}: {outcome.nodes_explored} nodes, table says {row['nodes']}")
     elapsed = time.perf_counter() - start
 
     mode = "hinted" if hinted else "plain"

@@ -57,12 +57,9 @@ _SHORTHAND_RE = re.compile(r"^log\s+(\d+)\s*(?:/\s*(\d+))?$")
 def parse_vector_json(obj) -> EntropyVector:
     if not isinstance(obj, dict) or "n" not in obj or "coords" not in obj:
         raise DataError("vector file must be an object with 'n' and 'coords'")
-    try:
-        n = int(obj["n"])
-    except (TypeError, ValueError):
-        raise DataError(f"invalid variable count {obj.get('n')!r}") from None
-    if not 1 <= n <= polycone.MAX_VARS:
-        raise DataError(f"variable count {n} outside the supported range 1..{polycone.MAX_VARS}")
+    n = obj["n"]
+    if type(n) is not int or not 1 <= n <= polycone.MAX_VARS:
+        raise DataError(f"variable count {n!r} outside the supported range 1..{polycone.MAX_VARS}")
     order = canonical_order(n)
     if "order" in obj:
         expected = [subset_name(a) for a in order]

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .logexact import LogLinear
-from .subsets import Subset, canonical_order, subset_index_map, subset_name
+from .subsets import MAX_VARS, Subset, canonical_order, subset_index_map, subset_name
 
 __all__ = [
     "EntropyVector",
@@ -305,6 +305,8 @@ def parse_pmf(text: str) -> JointPMF:
             if not m:
                 raise PMFFormatError(f"line {lineno}: malformed header (expected 'pmf n=.. sizes=..')")
             n = int(m.group(1))
+            if n > MAX_VARS:
+                raise PMFFormatError(f"line {lineno}: variable count {n} outside the supported range 1..{MAX_VARS}")
             sizes = tuple(int(s) for s in m.group(2).split(",") if s)
             if n < 1 or len(sizes) != n or any(s < 1 for s in sizes):
                 raise PMFFormatError(f"line {lineno}: header sizes do not match n={n}")

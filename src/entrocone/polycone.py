@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .distributions import EntropyVector
 from .logexact import LogLinear, Sign, dot
-from .subsets import subset_index_map, subset_name
+from .subsets import MAX_VARS, subset_index_map, subset_name
 
 __all__ = [
     "ConicCertificate",
@@ -58,8 +58,6 @@ __all__ = [
     "strict_in_face",
     "variable_permutations",
 ]
-
-MAX_VARS = 6  # desk-scale cap for elemental inequality generation
 
 
 @unique

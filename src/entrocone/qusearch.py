@@ -9,9 +9,11 @@ uniform on S and every marginal is constant on its support.
 
 The search is a depth-first walk over the grid cells in lexicographic
 order that decides, cell by cell, to include the cell as a support point
-or to leave it empty.  A fiber is one value of one subset's projection;
-every fiber of every subset has one id, and flat arrays indexed by it hold
-the points placed in the fiber and the cells still ahead of the frontier.
+or to leave it empty.  The walk is one loop over an explicit stack with
+one entry per cell, so the grid size sets no recursion limit.  A fiber is
+one value of one subset's projection; every fiber of every subset has one
+id, and flat arrays indexed by it hold the points placed in the fiber and
+the cells still ahead of the frontier.
 Each cell lists its ``(subset, fiber id)`` pairs once, at engine build, so
 one decision touches ``2**n - 1`` array slots.  Three families of pruning
 rules run on these counters:
@@ -54,8 +56,8 @@ from typing import Iterable, Optional, Sequence
 
 from .distributions import EntropyVector, JointPMF
 from .logexact import LogLinear
-from .polycone import MAX_VARS, in_gamma_n
-from .subsets import Subset, canonical_order, parse_subset_name, subset_name
+from .polycone import in_gamma_n
+from .subsets import MAX_VARS, Subset, canonical_order, parse_subset_name, subset_name
 
 __all__ = [
     "Budget",
@@ -79,6 +81,22 @@ class SupportSpec:
     n: int
     m: dict[Subset, int]
 
+    def __post_init__(self) -> None:
+        """The one definition of a valid spec; raises ValueError otherwise.
+        n is an integer in 1..MAX_VARS (checked before any subset is
+        listed), the keys of m are exactly the nonempty subsets of 1..n,
+        and every size is an integer of at least 1."""
+        if type(self.n) is not int or not 1 <= self.n <= MAX_VARS:
+            raise ValueError(f"variable count {self.n!r} outside the supported range 1..{MAX_VARS}")
+        order = canonical_order(self.n)
+        for alpha in order:
+            if alpha not in self.m:
+                raise ValueError(f"missing target size for subset {subset_name(alpha)}")
+            if type(self.m[alpha]) is not int or self.m[alpha] < 1:
+                raise ValueError(f"m_{subset_name(alpha)} must be a positive integer, got {self.m[alpha]!r}")
+        if len(self.m) != len(order):
+            raise ValueError(f"a target size is given for a set that is not a nonempty subset of 1..{self.n}")
+
     def size(self, alpha: Iterable[int]) -> int:
         return self.m[frozenset(alpha)]
 
@@ -98,23 +116,14 @@ class SupportSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SupportSpec":
-        """Parse ``{"n": .., "m": {name: size}}``.  Raises ValueError unless n
-        is an integer in 1..MAX_VARS and every nonempty subset has exactly one
-        integer size of at least 1; n is checked before any subset is listed."""
+        """Parse ``{"n": .., "m": {name: size}}``; raises ValueError on a
+        malformed spec.  Subset names are read without reference to n."""
         if not isinstance(obj, dict) or not isinstance(obj.get("m"), dict):
             raise ValueError("spec must be an object with 'n' and an object 'm'")
-        n = obj.get("n")
-        if type(n) is not int or not 1 <= n <= MAX_VARS:
-            raise ValueError(f"variable count {n!r} outside the supported range 1..{MAX_VARS}")
-        m = {parse_subset_name(name, n): v for name, v in obj["m"].items()}
+        m = {parse_subset_name(name): v for name, v in obj["m"].items()}
         if len(m) != len(obj["m"]):
             raise ValueError("a subset is named more than once")
-        for alpha in canonical_order(n):
-            if alpha not in m:
-                raise ValueError(f"missing target size for subset {subset_name(alpha)}")
-            if type(m[alpha]) is not int or m[alpha] < 1:
-                raise ValueError(f"m_{subset_name(alpha)} must be a positive integer, got {m[alpha]!r}")
-        return cls(n, m)
+        return cls(obj.get("n"), m)
 
 
 def check_feasibility_necessary(spec: SupportSpec) -> tuple[bool, Optional[str]]:
@@ -123,13 +132,7 @@ def check_feasibility_necessary(spec: SupportSpec) -> tuple[bool, Optional[str]]
     True never guarantees a realization exists; False is a proof that none
     does, with the violated invariant as witness.
     """
-    order = canonical_order(spec.n)
-    for alpha in order:
-        if alpha not in spec.m:
-            return False, f"missing target size for subset {subset_name(alpha)}"
-        if spec.m[alpha] < 1:
-            return False, f"m_{subset_name(alpha)} must be a positive integer"
-    for alpha in order:
+    for alpha in canonical_order(spec.n):
         for i in range(1, spec.n + 1):
             if i in alpha:
                 continue
@@ -239,15 +242,6 @@ class SearchOutcome:
     elapsed: float
 
 
-class _FoundSupport(Exception):
-    def __init__(self, support: list[int]):
-        self.support = support
-
-
-class _BudgetHit(Exception):
-    pass
-
-
 class _Engine:
     """Depth-first placement over grid cells with incremental fiber counts.
 
@@ -256,7 +250,9 @@ class _Engine:
     subset's offset plus the mixed-radix value of its coordinates), and
     each cell carries the tuple of its ``(subset, fiber id)`` pairs.  Hints
     add per-cell check tuples that are empty where no hint applies, so
-    hinted and plain runs take the same path.
+    hinted and plain runs take the same path.  :meth:`run` walks the tree
+    in one loop; ``_try_include``/``_undo_include`` and
+    ``_advance``/``_retreat`` are the two branches of a cell and their undo.
     """
 
     def __init__(self, spec: SupportSpec, hints: Sequence[Hint] = ()):
@@ -306,8 +302,6 @@ class _Engine:
         self._hint_checks(subsets, hints)
 
         self.nodes = 0
-        self._deadline = float("inf")
-        self._max_nodes = 0
 
     def _fiber(self, a: int, coord: Sequence[int]) -> int:
         return self.offset[a] + sum(coord[i] * s for i, s in self.strides[a])
@@ -467,51 +461,57 @@ class _Engine:
 
     # -- depth-first search --------------------------------------------------
 
-    def _dfs(self) -> None:
-        """Explore every completion of the start state, cell 0 first.
+    def run(self, max_nodes: int, deadline: float) -> tuple[SearchStatus, Optional[list[int]]]:
+        """Explore every completion of the start state, cell 0 first, and
+        return the verdict with the support found, if any.
 
-        One node is counted per visited state; the budget is checked at
-        each count and the clock every 2048 nodes."""
+        The walk keeps its stack in ``branch``: the depth is the cell index,
+        and ``branch[ci]`` holds the undo bumps of the placement at cell ci
+        being explored, or None once only the empty branch is left there.
+        Each cell tries the placement before leaving the cell empty.  One
+        node is counted per visited state; the budget is checked at each
+        count and the clock every 2048 nodes."""
         ncells, m_total, chosen = self.ncells, self.m_total, self.chosen
-        max_nodes, deadline, clock = self._max_nodes, self._deadline, time.monotonic
         try_include, undo_include = self._try_include, self._undo_include
-        advance, retreat = self._advance, self._retreat
+        advance, retreat, clock = self._advance, self._retreat, time.monotonic
+        branch: list[Optional[tuple[int, ...]]] = [None] * ncells
         nodes = self.nodes
-
-        def visit(ci: int) -> None:
-            nonlocal nodes
+        ci = 0
+        while True:
+            # visit the state whose frontier is cell ci
             nodes += 1
             if nodes > max_nodes or not nodes % 2048 and clock() > deadline:
-                raise _BudgetHit
+                self.nodes = nodes
+                return SearchStatus.BUDGET_EXCEEDED, None
             need = m_total - len(chosen)
             if not need:
                 # quota accounting makes any full placement a valid support
-                raise _FoundSupport(list(chosen))
-            if ncells - ci < need:
-                return
-            bumps = try_include(ci)
-            if bumps is not None:
-                visit(ci + 1)
+                self.nodes = nodes
+                return SearchStatus.FOUND, list(chosen)
+            if ncells - ci >= need:
+                bumps = try_include(ci)
+                if bumps is None and not advance(ci):
+                    retreat(ci)
+                else:
+                    branch[ci] = bumps
+                    ci += 1
+                    continue
+            # the subtree is done: back up to the deepest cell with a branch left
+            while True:
+                ci -= 1
+                if ci < 0:
+                    self.nodes = nodes
+                    return SearchStatus.EXHAUSTED_INFEASIBLE, None
+                bumps = branch[ci]
+                if bumps is None:
+                    retreat(ci)
+                    continue
                 undo_include(ci, bumps)
-            if advance(ci):
-                visit(ci + 1)
-            retreat(ci)
-
-        try:
-            visit(0)
-        finally:
-            self.nodes = nodes
-
-    def run(self, max_nodes: int, deadline: float) -> tuple[SearchStatus, Optional[list[int]]]:
-        self._max_nodes = max_nodes
-        self._deadline = deadline
-        try:
-            self._dfs()
-        except _FoundSupport as hit:
-            return SearchStatus.FOUND, hit.support
-        except _BudgetHit:
-            return SearchStatus.BUDGET_EXCEEDED, None
-        return SearchStatus.EXHAUSTED_INFEASIBLE, None
+                if advance(ci):
+                    branch[ci] = None
+                    ci += 1
+                    break
+                retreat(ci)
 
     def pmf_from_support(self, support: Sequence[int]) -> JointPMF:
         p = Fraction(1, self.m_total)
@@ -570,9 +570,6 @@ def brute_force_oracle(spec: SupportSpec, cap: int = 24) -> SearchOutcome:
     if grid > cap:
         raise ValueError(f"grid of {grid} cells exceeds oracle cap {cap}")
     order = canonical_order(spec.n)
-    for alpha in order:
-        if alpha not in spec.m or spec.m[alpha] < 1:
-            raise ValueError(f"missing or invalid target for {subset_name(alpha)}")
     total = spec.total
     start = time.monotonic()
     if total > grid:

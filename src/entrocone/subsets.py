@@ -14,6 +14,8 @@ from typing import Iterable
 
 Subset = frozenset
 
+MAX_VARS = 6  # desk-scale cap on the variable count of every input
+
 
 @lru_cache(maxsize=None)
 def canonical_order(n: int) -> tuple[Subset, ...]:
@@ -36,13 +38,13 @@ def subset_name(alpha: Iterable[int]) -> str:
     return "".join(str(i) for i in sorted(alpha))
 
 
-def parse_subset_name(name: str, n: int) -> Subset:
-    """Inverse of :func:`subset_name` for single-digit variable indices."""
+def parse_subset_name(name: str) -> Subset:
+    """Inverse of :func:`subset_name`: distinct variable digits 1..9."""
     try:
         members = [int(ch) for ch in name.strip()]
     except ValueError:
         raise ValueError(f"malformed subset name {name!r}") from None
     alpha = frozenset(members)
-    if not alpha or len(members) != len(alpha) or not all(1 <= i <= n for i in alpha):
-        raise ValueError(f"subset name {name!r} is not a nonempty subset of 1..{n}")
+    if not alpha or len(members) != len(alpha) or 0 in alpha:
+        raise ValueError(f"subset name {name!r} is not a nonempty set of distinct variables 1..9")
     return alpha

@@ -205,6 +205,15 @@ class TestSearchCommand:
         assert code == EX_FALSE
         assert "does not divide" in report["witness"]
 
+    def test_search_deep_grid(self, tmp_path, capsys):
+        spec = tmp_path / "deep.json"
+        spec.write_text(json.dumps({"n": 3, "m": {
+            "1": 10, "2": 10, "3": 10, "12": 100, "13": 100, "23": 100, "123": 1000,
+        }}))
+        code, report = run(capsys, "search", str(spec), "--budget-nodes", "5000")
+        assert code == 0
+        assert (report["status"], report["nodes_explored"]) == ("found", 1001)
+
     def test_deterministic_repeat_is_byte_identical(self, capsys):
         code1 = main(["search", fx("spec_f.json"), "--budget-seconds", "60"])
         out1 = capsys.readouterr().out
@@ -304,15 +313,15 @@ class TestExitCodes:
         assert proc.returncode == EX_DATAERR
         assert "antilog" in proc.stderr and proc.stdout == ""
 
-    def test_crash_is_internal_error(self, tmp_path):
-        # a 1000-cell grid recurses past the interpreter's limit
-        spec = tmp_path / "deep.json"
-        spec.write_text(json.dumps({"n": 3, "m": {
-            "1": 10, "2": 10, "3": 10, "12": 100, "13": 100, "23": 100, "123": 1000,
-        }}))
-        proc = run_subprocess("-m", "entrocone.cli", "search", str(spec), "--budget-nodes", "5000")
-        assert proc.returncode == EX_SOFTWARE
-        assert "RecursionError" in proc.stderr
+    def test_crash_is_internal_error(self, monkeypatch, capsys):
+        def crash(_h):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.polycone, "in_gamma_n", crash)
+        code = main(["gamma", fx("f.vec")])
+        captured = capsys.readouterr()
+        assert code == EX_SOFTWARE and captured.out == ""
+        assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
     def test_precision_exhausted_is_inconclusive(self, monkeypatch, capsys):
         def exhausted(_h):
@@ -334,12 +343,14 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         "malformed": "pmf n=3\n0 0 0 : 1/1\n",
         "decimal": "pmf n=1 sizes=2\n0 : 0.5\n1 : 0.5\n",
         "above_factoring_cap": f"pmf n=1 sizes=2\n0 : 1/{_BIG}\n1 : {_BIG - 1}/{_BIG}\n",
+        "n7": "pmf n=7 sizes=1,1,1,1,1,1,1\n0 0 0 0 0 0 0 : 1/1\n",
     },
     "vec": {
         "missing_file": None,
         "invalid_json": "{",
         "not_an_object": "[]",
         "n7": json.dumps({"n": 7, "coords": ["log 2"] * 127}),
+        "non_integer_n": json.dumps({"n": 3.7, "coords": ["log 2"] * 3 + ["log 4"] * 3 + ["log 8"]}),
         "decimal": json.dumps({"n": 3, "coords": ["log 2"] * 6 + [0.5]}),
         "above_factoring_cap": json.dumps({"n": 3, "coords": [f"log {_BIG}"] + ["log 2"] * 6}),
     },

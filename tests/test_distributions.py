@@ -193,6 +193,7 @@ class TestFileFormat:
         [
             ("pmf n=two sizes=2", "malformed header"),
             ("pmf n=2 sizes=2", "header sizes"),
+            ("pmf n=7 sizes=1,1,1,1,1,1,1", "outside the supported range"),
             ("pmf n=1 sizes=2\n5 : 1/2", "out of range"),
             ("pmf n=1 sizes=2\n0 : 1/3\n1 : 1/3", "mass sum != 1"),
             ("pmf n=1 sizes=2\n0 : 1/2\n0 : 1/2", "duplicate tuple"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from entrocone.distributions import entropy_vector, is_quasi_uniform
+from entrocone.distributions import entropy_vector, independent_product, is_quasi_uniform
 from entrocone.logexact import from_log_int
 from entrocone.qusearch import (
     _Engine,
@@ -75,6 +75,17 @@ class TestSpecFromVector:
         with pytest.raises(ValueError):
             SupportSpec.from_json(obj)
 
+    @pytest.mark.parametrize("n,m", [
+        (True, {frozenset({1}): 1}),
+        (7, {}),
+        (2, {frozenset({1}): 2, frozenset({2}): 2, frozenset({1, 2}): 4, frozenset({3}): 2}),
+        (1, {frozenset({1}): 2.0}),
+        (1, {frozenset({1}): 0}),
+    ], ids=["n_bool", "n7", "unknown_subset", "float_size", "zero_size"])
+    def test_constructor_rejects_malformed_specs(self, n, m):
+        with pytest.raises(ValueError):
+            SupportSpec(n, m)
+
 
 class TestFeasibilityNecessary:
     def test_valid_specs(self):
@@ -101,9 +112,9 @@ class TestFeasibilityNecessary:
         assert "violates" in witness
 
     def test_missing_subset(self):
-        ok, witness = check_feasibility_necessary(SupportSpec(2, {frozenset({1}): 2}))
-        assert not ok
-        assert "missing" in witness
+        # a spec without every subset cannot be built, so it never reaches the check
+        with pytest.raises(ValueError, match="missing"):
+            check_feasibility_necessary(SupportSpec(2, {frozenset({1}): 2}))
 
 
 class TestSearch:
@@ -157,6 +168,29 @@ class TestSearch:
     def test_rejects_invalid_spec(self):
         with pytest.raises(ValueError):
             search(mkspec(2, [2, 2, 3]))
+
+    def test_deep_grid(self):
+        # 1,000 cells, all of them in the support: the walk goes as deep as
+        # the grid, one node per cell and one for the full placement
+        spec = mkspec(3, [10, 10, 10, 100, 100, 100, 1000])
+        outcome = search(spec, budget=Budget(max_nodes=5_000, max_seconds=60))
+        assert outcome.nodes_explored == 1_001
+        assert_realizes(outcome, spec)
+
+    @pytest.mark.parametrize("left,right", [
+        ([2, 2, 2, 4, 4, 4, 4], [3, 3, 3, 9, 9, 9, 18]),
+        ([3, 3, 3, 9, 9, 9, 18], [4, 4, 4, 16, 16, 16, 48]),
+    ], ids=["parity_x_3-18", "3-18_x_4-48"])
+    def test_products_of_witnesses_are_never_infeasible(self, left, right):
+        # past the oracle's cap: the independent product of two witnesses is
+        # quasi-uniform with the sizes multiplied, so the spec is feasible
+        product = independent_product(search(mkspec(3, left)).pmf, search(mkspec(3, right)).pmf)
+        spec = mkspec(3, [a * b for a, b in zip(left, right)])
+        assert is_quasi_uniform(product).support_sizes == spec.m
+        outcome = search(spec, budget=Budget(max_nodes=100_000, max_seconds=60))
+        assert outcome.status in (SearchStatus.FOUND, SearchStatus.BUDGET_EXCEEDED)
+        if outcome.status is SearchStatus.FOUND:
+            assert_realizes(outcome, spec)
 
 
 # (status, nodes_explored) at Budget(max_nodes=100_000): parity and f, then
