@@ -23,7 +23,7 @@ from typing import Optional
 
 from .distributions import EntropyVector
 from .logexact import LogLinear, Sign
-from .polycone import ConicCertificate, Ray, cone_membership, face_for_generators
+from .polycone import ConicCertificate, FaceSpec, Ray, cone_membership
 from .subsets import Subset, canonical_order
 
 __all__ = [
@@ -39,8 +39,8 @@ __all__ = [
     "theta_in",
 ]
 
-THETA_FACE = face_for_generators({Ray.R1, Ray.R2, Ray.R3, Ray.R123P})
-OMEGA_FACE = face_for_generators({Ray.R1, Ray.R2, Ray.R3, Ray.R12, Ray.R123P})
+THETA_FACE = FaceSpec(frozenset({Ray.R1, Ray.R2, Ray.R3, Ray.R123P}))
+OMEGA_FACE = FaceSpec(frozenset({Ray.R1, Ray.R2, Ray.R3, Ray.R12, Ray.R123P}))
 
 
 def _require_nonnegative(name: str, value: LogLinear) -> None:

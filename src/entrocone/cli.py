@@ -63,7 +63,7 @@ def parse_vector_json(obj) -> EntropyVector:
     order = canonical_order(n)
     if "order" in obj:
         expected = [subset_name(a) for a in order]
-        if list(obj["order"]) != expected:
+        if obj["order"] != expected:
             raise DataError(f"coordinate order must be {expected}")
     raw = obj["coords"]
     if not isinstance(raw, list) or len(raw) != len(order):
@@ -121,21 +121,22 @@ def _load_pmf(path: str) -> JointPMF:
 
 
 _FACE_ALIASES = {
-    "theta": ("1", "2", "3", "123p"),
-    "omega": ("1", "2", "3", "12", "123p"),
-    "full": tuple(r.label for r in polycone.RAY_ORDER),
+    "theta": bounds.THETA_FACE,
+    "omega": bounds.OMEGA_FACE,
+    "full": polycone.FaceSpec(frozenset(polycone.RAY_ORDER)),
 }
 
 
 def _parse_face(name: str) -> polycone.FaceSpec:
-    labels = _FACE_ALIASES.get(name.lower(), tuple(t for t in name.split(",") if t))
+    if name.lower() in _FACE_ALIASES:
+        return _FACE_ALIASES[name.lower()]
     try:
-        rays = frozenset(polycone.ray_by_label(lbl) for lbl in labels)
+        rays = frozenset(polycone.ray_by_label(lbl) for lbl in name.split(",") if lbl)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     if not rays:
         raise DataError(f"empty face specification {name!r}")
-    return polycone.face_for_generators(rays)
+    return polycone.FaceSpec(rays)
 
 
 def _emit(report: dict) -> None:

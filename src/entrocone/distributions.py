@@ -349,9 +349,10 @@ def parse_pmf(text: str) -> JointPMF:
         if not fm:
             hint = " (decimal masses are rejected; use an exact num/den rational)" if "." in mtok else ""
             raise PMFFormatError(f"line {lineno}: malformed mass {mtok!r}{hint}")
-        mass[key] = Fraction(int(fm.group(1)), int(fm.group(2) or 1))
-        if mass[key] <= 0:
-            raise PMFFormatError(f"line {lineno}: mass must be strictly positive")
+        num, den = int(fm.group(1)), int(fm.group(2) or 1)
+        if num <= 0 or den == 0:
+            raise PMFFormatError(f"line {lineno}: mass {mtok!r} must be strictly positive, with a nonzero denominator")
+        mass[key] = Fraction(num, den)
 
     if n is None:
         raise PMFFormatError("empty input: missing 'pmf' header")

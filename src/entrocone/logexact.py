@@ -47,7 +47,7 @@ import math
 import decimal
 from enum import IntEnum, unique
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 __all__ = [
     "LogLinear",
@@ -58,6 +58,7 @@ __all__ = [
     "from_log_rational",
 ]
 
+_T = TypeVar("_T")
 _PREC_START = 64
 _PREC_CAP = 1 << 16
 # 2**14_000 has 4215 decimal digits, below the 4300-digit int-to-str limit.
@@ -330,19 +331,28 @@ class LogLinear:
         ):
             raise ValueError(f"antilog of {self!r} exceeds 2**{_ANTILOG_BITS_CAP}")
 
+    def _refine(self, decide: Callable[[int], Optional[_T]], what: str) -> _T:
+        """First non-None ``decide(prec)`` at doubling precision; None means
+        the enclosure still straddles the critical point, and past
+        ``_PREC_CAP`` bits :class:`PrecisionExhausted` names ``what``."""
+        prec = _PREC_START
+        while prec <= _PREC_CAP:
+            answer = decide(prec)
+            if answer is not None:
+                return answer
+            prec *= 2
+        raise PrecisionExhausted(f"{what} of {self!r} unresolved at {_PREC_CAP} bits")
+
     def sign(self) -> Sign:
         """Exact sign; decidable because the zero test is structural."""
         if not self._terms:
             return Sign.ZERO
-        prec = _PREC_START
-        while prec <= _PREC_CAP:
+
+        def decide(prec: int) -> Optional[Sign]:
             lo, hi = self._enclosure(prec)
-            if lo > 0:
-                return Sign.POSITIVE
-            if hi < 0:
-                return Sign.NEGATIVE
-            prec *= 2
-        raise PrecisionExhausted(f"sign of {self!r} unresolved at {_PREC_CAP} bits")
+            return Sign.POSITIVE if lo > 0 else Sign.NEGATIVE if hi < 0 else None
+
+        return self._refine(decide, "sign")
 
     def __lt__(self, other: "LogLinear") -> bool:
         return (self - other).sign() == Sign.NEGATIVE
@@ -390,13 +400,12 @@ class LogLinear:
         exact = self.as_log_fraction()
         if exact is not None:
             return math.ceil(exact)
-        prec = _PREC_START
-        while prec <= _PREC_CAP:
+
+        def decide(prec: int) -> Optional[int]:
             lo, hi = self._enclosure(prec, antilog=True)
-            if math.ceil(lo) == math.ceil(hi):
-                return math.ceil(lo)
-            prec *= 2
-        raise PrecisionExhausted(f"ceiling of antilog of {self!r} unresolved at {_PREC_CAP} bits")
+            return math.ceil(lo) if math.ceil(lo) == math.ceil(hi) else None
+
+        return self._refine(decide, "ceiling of antilog")
 
     # -- decimal display --------------------------------------------------
 
@@ -422,8 +431,8 @@ class LogLinear:
             return _format_scaled(scaled, digits)
 
         ln2 = LogLinear.from_log_int(2)
-        prec = _PREC_START
-        while prec <= _PREC_CAP:
+
+        def decide(prec: int) -> Optional[str]:
             lo, hi = self._enclosure(prec, antilog=kind == "exp")
             if kind == "bits":  # divide the natural-log enclosure by an ln 2 enclosure
                 dlo, dhi = ln2._enclosure(prec)
@@ -431,10 +440,9 @@ class LogLinear:
                 lo, hi = min(bounds), max(bounds)
             nlo = math.floor(lo * scalepow + Fraction(1, 2))
             nhi = math.floor(hi * scalepow + Fraction(1, 2))
-            if nlo == nhi:
-                return _format_scaled(nlo, digits)
-            prec *= 2
-        raise PrecisionExhausted(f"display of {self!r} unresolved at {_PREC_CAP} bits")
+            return _format_scaled(nlo, digits) if nlo == nhi else None
+
+        return self._refine(decide, "display")
 
     def approx_ln(self, digits: int = 4) -> str:
         """Correctly rounded decimal of the natural-log value."""
@@ -461,13 +469,22 @@ class LogLinear:
     def from_json(cls, obj: Mapping) -> "LogLinear":
         if not isinstance(obj, Mapping) or "log_terms" not in obj:
             raise ValueError("expected an object with a 'log_terms' field")
+        if not isinstance(obj["log_terms"], Mapping):
+            raise ValueError("'log_terms' must be an object mapping primes to coefficients")
         terms = {}
         for key, val in obj["log_terms"].items():
             try:
                 p = int(key)
             except ValueError:
                 raise ValueError(f"prime key {key!r} is not an integer") from None
-            terms[p] = Fraction(val)
+            if p in terms:
+                raise ValueError(f"prime {p} is named twice")
+            if not isinstance(val, str) and type(val) is not int:  # a JSON float is already rounded
+                raise ValueError(f"coefficient {val!r} of prime {key!r} must be a 'num/den' string or an integer")
+            try:
+                terms[p] = Fraction(val)
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {val!r} of prime {key!r} has a zero denominator") from None
         return cls(terms)
 
 

@@ -24,7 +24,7 @@ its tight set coincides with the face's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
 from functools import lru_cache
@@ -323,18 +323,30 @@ def cone_decompositions(h: EntropyVector, generators: Iterable[Ray]) -> list[Con
 
 @dataclass(frozen=True)
 class FaceSpec:
-    """A face described by its generator rays.
+    """A face of the three-variable cone: nothing but its generator rays.
 
-    `canonical` marks the 19 catalogued representatives (faces containing
-    vectors that are not entropy vectors, one per relabeling orbit);
-    `orbit` lists the distinct generator sets obtained by relabeling
-    variables, the face's own set included.
+    The rest is computed from them when asked for, so no face table is
+    built at import.  `dim` is the rank of the generators; `canonical`
+    marks the 19 catalogued representatives (faces containing vectors that
+    are not entropy vectors, one per relabeling orbit); `orbit` lists the
+    distinct generator sets obtained by relabeling variables, the face's
+    own set included.
     """
 
     generators: frozenset[Ray]
-    dim: int
-    canonical: bool
-    orbit: tuple[frozenset[Ray], ...] = field(default=(), compare=False)
+
+    @property
+    def dim(self) -> int:
+        return len(_eliminate([g.vector for g in sorted_rays(self.generators)])[0])
+
+    @property
+    def canonical(self) -> bool:
+        return self.labels() in _CANONICAL_FACE_LABELS
+
+    @property
+    def orbit(self) -> tuple[frozenset[Ray], ...]:
+        images = {frozenset(permute_ray(r, perm) for r in self.generators) for perm in variable_permutations()}
+        return tuple(sorted(images, key=lambda s: tuple(_RAY_RANK[r] for r in sorted_rays(s))))
 
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in sorted_rays(self.generators))
@@ -351,6 +363,7 @@ class FaceSpec:
         return f"FaceSpec({','.join(self.labels())}; dim={self.dim})"
 
 
+# Labels in RAY_ORDER, so that `FaceSpec.canonical` can compare `labels()`.
 _CANONICAL_FACE_LABELS: tuple[tuple[str, ...], ...] = (
     # 1-D
     ("123p",),
@@ -380,40 +393,16 @@ _CANONICAL_FACE_LABELS: tuple[tuple[str, ...], ...] = (
 )
 
 
-def _orbit_of(gens: frozenset[Ray]) -> tuple[frozenset[Ray], ...]:
-    images = {frozenset(permute_ray(r, perm) for r in gens) for perm in variable_permutations()}
-    return tuple(sorted(images, key=lambda s: tuple(_RAY_RANK[r] for r in sorted_rays(s))))
-
-
-def _make_face(gens: frozenset[Ray], canonical: bool) -> FaceSpec:
-    dim = len(_eliminate([g.vector for g in sorted_rays(gens)])[0])
-    return FaceSpec(gens, dim, canonical, _orbit_of(gens))
-
-
-@lru_cache(maxsize=1)
 def face_catalogue() -> tuple[FaceSpec, ...]:
     """The 19 canonical proper faces holding non-entropy vectors."""
     return tuple(
-        _make_face(frozenset(ray_by_label(lbl) for lbl in labels), canonical=True)
-        for labels in _CANONICAL_FACE_LABELS
+        FaceSpec(frozenset(ray_by_label(lbl) for lbl in labels)) for labels in _CANONICAL_FACE_LABELS
     )
 
 
-@lru_cache(maxsize=1)
-def _face_lookup() -> dict[frozenset, FaceSpec]:
-    # dimension and orbit are invariant under relabeling: reuse the canonical face's
-    return {
-        image: FaceSpec(image, face.dim, image == face.generators, face.orbit)
-        for face in face_catalogue()
-        for image in face.orbit
-    }
-
-
 def face_for_generators(generators: Iterable[Ray]) -> FaceSpec:
-    """FaceSpec for a generator set; catalogued metadata when it matches."""
-    gens = frozenset(generators)
-    hit = _face_lookup().get(gens)
-    return hit if hit is not None else _make_face(gens, canonical=False)
+    """The face spanned by a set of rays."""
+    return FaceSpec(frozenset(generators))
 
 
 @unique
@@ -430,19 +419,6 @@ class FaceLocation:
     subface: Optional[FaceSpec] = None
 
 
-def _tight_set(h: EntropyVector) -> frozenset[int]:
-    fns = elemental_inequalities(3)
-    return frozenset(i for i, fn in enumerate(fns) if not fn.evaluate(h))
-
-
-def _face_tight_set(gens: Iterable[Ray]) -> frozenset[int]:
-    fns = elemental_inequalities(3)
-    gens = tuple(gens)
-    return frozenset(
-        i for i, fn in enumerate(fns) if all(fn.evaluate_int(g.vector) == 0 for g in gens)
-    )
-
-
 def strict_in_face(h: EntropyVector, face: FaceSpec) -> FaceLocation:
     """Locate h relative to a face: strictly inside, in a subface, outside.
 
@@ -455,11 +431,12 @@ def strict_in_face(h: EntropyVector, face: FaceSpec) -> FaceLocation:
     cert = cone_membership(h, face.generators)
     if cert is None:
         return FaceLocation(FacePosition.OUTSIDE)
-    tight_h = _tight_set(h)
-    if tight_h == _face_tight_set(face.generators):
-        return FaceLocation(FacePosition.STRICTLY_INSIDE, cert)
     fns = elemental_inequalities(3)
-    minimal = frozenset(
-        r for r in RAY_ORDER if all(fns[i].evaluate_int(r.vector) == 0 for i in tight_h)
+    tight_h = frozenset(i for i, fn in enumerate(fns) if not fn.evaluate(h))
+    tight_face = frozenset(
+        i for i, fn in enumerate(fns) if not any(fn.evaluate_int(g.vector) for g in face.generators)
     )
-    return FaceLocation(FacePosition.IN_SUBFACE, cert, face_for_generators(minimal))
+    if tight_h == tight_face:
+        return FaceLocation(FacePosition.STRICTLY_INSIDE, cert)
+    minimal = frozenset(r for r in RAY_ORDER if not any(fns[i].evaluate_int(r.vector) for i in tight_h))
+    return FaceLocation(FacePosition.IN_SUBFACE, cert, FaceSpec(minimal))

@@ -337,6 +337,13 @@ class TestExitCodes:
 BAD = object()  # stands for the bad input file in an argv
 _GOOD_INPUT = {"pmf": "table1.pmf", "vec": "f.vec", "spec": "spec_f.json"}
 _BIG = 3 * (2**89 - 1)  # above the factoring cap
+_VEC_COORDS = ["log 2"] * 3 + ["log 4"] * 3 + ["log 8"]  # a valid n=3 vector
+
+
+def _vec_with_first(coord) -> str:
+    return json.dumps({"n": 3, "coords": [coord, *_VEC_COORDS[1:]]})
+
+
 _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
     "pmf": {
         "missing_file": None,
@@ -344,6 +351,7 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         "decimal": "pmf n=1 sizes=2\n0 : 0.5\n1 : 0.5\n",
         "above_factoring_cap": f"pmf n=1 sizes=2\n0 : 1/{_BIG}\n1 : {_BIG - 1}/{_BIG}\n",
         "n7": "pmf n=7 sizes=1,1,1,1,1,1,1\n0 0 0 0 0 0 0 : 1/1\n",
+        "zero_denominator": "pmf n=3 sizes=1,1,2\n0 0 0 : 1/2\n0 0 1 : 1/0\n",
     },
     "vec": {
         "missing_file": None,
@@ -353,6 +361,12 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         "non_integer_n": json.dumps({"n": 3.7, "coords": ["log 2"] * 3 + ["log 4"] * 3 + ["log 8"]}),
         "decimal": json.dumps({"n": 3, "coords": ["log 2"] * 6 + [0.5]}),
         "above_factoring_cap": json.dumps({"n": 3, "coords": [f"log {_BIG}"] + ["log 2"] * 6}),
+        # one defect each in the valid vector _VEC_COORDS
+        "float_log_term": _vec_with_first({"log_terms": {"2": 1.0}}),
+        "zero_denominator_log_term": _vec_with_first({"log_terms": {"2": "1/0"}}),
+        "log_terms_not_an_object": _vec_with_first({"log_terms": ["2"]}),
+        "prime_named_twice": _vec_with_first({"log_terms": {"2": "1/1", "02": "1/1"}}),
+        "order_not_a_list": json.dumps({"n": 3, "order": 5, "coords": _VEC_COORDS}),
     },
     "spec": {
         "missing_file": None,
@@ -406,6 +420,25 @@ def test_bad_input_is_usage_or_data_error(tmp_path, capsys, argv, content):
         code = exc.code
     assert code in (EX_USAGE, EX_DATAERR)
     assert capsys.readouterr().out == ""
+
+
+def test_cli_import_runs_no_elimination():
+    # faces are computed from their generator sets on demand, so importing
+    # the CLI builds no face table and runs no Gauss-Jordan elimination
+    probe = (
+        "import sys\n"
+        "calls = []\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == '_eliminate':\n"
+        "        calls.append(frame.f_code.co_filename)\n"
+        "sys.setprofile(profile)\n"
+        "import entrocone.cli\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls), 'entrocone.polycone' in sys.modules)\n"
+    )
+    proc = run_subprocess("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 True"
 
 
 def test_cli_import_skips_mpmath_and_multiprocessing():

@@ -202,6 +202,7 @@ class TestFileFormat:
             ("pmf n=1 sizes=2\nnames 1=a,b\na b : 1/2", "expected 1 symbols"),
             ("", "missing 'pmf' header"),
             ("pmf n=1 sizes=1", "no support points"),
+            ("pmf n=1 sizes=2\n0 : 1/2\n1 : 1/0", "line 3: mass '1/0' must be strictly positive, with a nonzero denominator"),
         ],
     )
     def test_diagnostics(self, text, fragment):

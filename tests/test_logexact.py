@@ -233,6 +233,24 @@ class TestJson:
         with pytest.raises(ValueError):
             LogLinear.from_json({"terms": {}})
 
+    def test_integer_coefficients_are_exact(self):
+        assert LogLinear.from_json({"log_terms": {"2": 3, "3": "-1/2"}}) == LogLinear({2: 3, 3: Fraction(-1, 2)})
+
+    @pytest.mark.parametrize(
+        "terms, fragment",
+        [
+            ({"2": 0.1}, "must be a 'num/den' string or an integer"),  # would read as 3602879701896397/2**55
+            ({"2": 1.0}, "must be a 'num/den' string or an integer"),
+            ({"2": True}, "must be a 'num/den' string or an integer"),
+            ({"2": "1/0"}, "zero denominator"),
+            (["2"], "must be an object"),
+            ({"2": "1/1", "02": "5/1"}, "prime 2 is named twice"),
+        ],
+    )
+    def test_rejects_inexact_or_ambiguous_terms(self, terms, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            LogLinear.from_json({"log_terms": terms})
+
 
 # log2(3) to 100 decimals, recorded once with mpmath 1.3.0 at mp.dps = 200
 # (mpmath.nstr(mpmath.log(3, 2), 101)); mpmath at dps = 120 prints the same

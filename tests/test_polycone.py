@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,8 @@ from entrocone.distributions import EntropyVector
 from entrocone.logexact import LogLinear, Sign, from_log_int, from_log_rational
 from entrocone.polycone import (
     RAY_ORDER,
-    _face_lookup,
-    _make_face,
     FacePosition,
+    FaceSpec,
     Ray,
     combination,
     cone_decompositions,
@@ -225,15 +225,21 @@ class TestFaceCatalogue:
                 image = frozenset(permute_ray(r, perm) for r in face.generators)
                 assert image in face.orbit
 
-    def test_lookup_matches_freshly_built_faces(self):
-        # the lookup reuses the canonical face's dim and orbit for every image
+    def test_orbit_images_share_dim_and_orbit(self):
+        # a relabeled face has the representative's dimension and orbit, and
+        # only the representative itself is canonical
         for face in face_catalogue():
+            assert face.canonical
             for image in face.orbit:
-                entry = _face_lookup()[image]
-                fresh = _make_face(image, canonical=image == face.generators)
-                assert entry == fresh
-                assert entry.orbit == fresh.orbit
-        assert len(_face_lookup()) == sum(len(f.orbit) for f in face_catalogue())
+                spec = face_for_generators(image)
+                assert spec.dim == face.dim
+                assert spec.orbit == face.orbit
+                assert spec.canonical == (image == face.generators)
+
+    def test_face_is_its_generator_set(self):
+        assert [f.name for f in dataclasses.fields(FaceSpec)] == ["generators"]
+        assert face_for_generators(THETA.generators) == THETA
+        assert hash(FaceSpec(frozenset(THETA.generators))) == hash(THETA)
 
     def test_orbit_sizes_divide_group_order(self):
         for face in face_catalogue():
