@@ -11,7 +11,10 @@ or a FOUND on a row recorded as infeasible.  A FOUND on a row the table
 left budget-capped passes once its witness is checked to be quasi-uniform
 with the target sizes.  The plain pass also fails when a spec's node
 count differs from the row's `nodes`: the decision tree is deterministic,
-so any drift means the walk changed.  The table is read, never written.
+so any drift means the walk changed.  The hinted pass also fails when a
+spec the plain pass decided gets another status or witness, or more
+nodes: a hint prunes only subtrees that hold no support, so the walk must
+meet the same first witness no later.  The table is read, never written.
 Each pass ends with its total node count and its node rate, which
 depends on the machine.
 """
@@ -28,22 +31,27 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from entrocone.distributions import is_quasi_uniform  # noqa: E402
-from entrocone.qusearch import Budget, SearchStatus, SupportSpec, search, structural_hints  # noqa: E402
+from entrocone.qusearch import Budget, SearchOutcome, SearchStatus, SupportSpec, search, structural_hints  # noqa: E402
 from entrocone.subsets import canonical_order  # noqa: E402
 
 
-def sweep(table: dict, hinted: bool) -> bool:
-    """Search every spec of the table, print the totals; False on a contradiction."""
+def sweep(table: dict, plain: list[SearchOutcome] | None = None) -> tuple[bool, list[SearchOutcome]]:
+    """Search every spec of the table, plain or, given the plain pass's
+    outcomes, hinted; print the totals.  Returns False on a contradiction,
+    and the outcomes."""
+    hinted = plain is not None
     budget = Budget(max_nodes=table["budget_nodes"], max_seconds=float("inf"))
     order = canonical_order(3)
     failures: list[str] = []
     statuses = {status: 0 for status in SearchStatus}
     lost = 0
     nodes = 0
+    outcomes = []
     start = time.perf_counter()
-    for row in table["specs"]:
+    for k, row in enumerate(table["specs"]):
         spec = SupportSpec(3, dict(zip(order, row["m"])))
         outcome = search(spec, budget, structural_hints(spec.vector()) if hinted else ())
+        outcomes.append(outcome)
         nodes += outcome.nodes_explored
         statuses[outcome.status] += 1
         recorded = SearchStatus(row["status"])
@@ -57,6 +65,15 @@ def sweep(table: dict, hinted: bool) -> bool:
             failures.append(f"{row['m']}: exhausted_infeasible, table says {recorded.value}")
         if not hinted and outcome.nodes_explored != row["nodes"]:
             failures.append(f"{row['m']}: {outcome.nodes_explored} nodes, table says {row['nodes']}")
+        base = plain[k] if hinted else None
+        if base and base.status is not SearchStatus.BUDGET_EXCEEDED and (
+            (outcome.status, outcome.pmf) != (base.status, base.pmf) or outcome.nodes_explored > base.nodes_explored
+        ):
+            witness = "same witness" if outcome.pmf == base.pmf else "another witness"
+            failures.append(
+                f"{row['m']}: {outcome.status.value} at {outcome.nodes_explored} nodes with {witness},"
+                f" plain run {base.status.value} at {base.nodes_explored}"
+            )
     elapsed = time.perf_counter() - start
 
     mode = "hinted" if hinted else "plain"
@@ -67,7 +84,7 @@ def sweep(table: dict, hinted: bool) -> bool:
     print(f"{mode}: decided in the table but budget-capped here: {lost}")
     print(f"{mode}: total nodes: {nodes}")
     print(f"{mode}: elapsed: {elapsed:.2f} s, {nodes / elapsed:,.0f} nodes/s")
-    return not failures
+    return not failures, outcomes
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,8 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--table", default=str(ROOT / "perfbench" / "verdicts.json"))
     args = parser.parse_args(argv)
     table = json.loads(Path(args.table).read_text(encoding="utf-8"))
-    results = [sweep(table, hinted) for hinted in (False, True)]
-    return 0 if all(results) else 1
+    plain_ok, plain = sweep(table)
+    hinted_ok, _ = sweep(table, plain)
+    return 0 if plain_ok and hinted_ok else 1
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ from .polycone import (
 from .qusearch import (
     Budget,
     FunctionalDependence,
-    Independence,
     SearchOutcome,
     SearchStatus,
     SupportSpec,

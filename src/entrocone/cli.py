@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import traceback
@@ -49,6 +50,10 @@ EX_SOFTWARE = 70
 
 class DataError(Exception):
     """Invalid input file contents; mapped to exit code 65."""
+
+
+class UsageError(Exception):
+    """An argument the command cannot act on; mapped to exit code 64."""
 
 
 _SHORTHAND_RE = re.compile(r"^log\s+(\d+)\s*(?:/\s*(\d+))?$")
@@ -94,13 +99,24 @@ def parse_vector_json(obj) -> EntropyVector:
     return EntropyVector(n, coords)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` that rejects an object naming a key twice,
+    where plain ``json.load`` would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, not UTF-8, or a repeated key
         raise DataError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -112,7 +128,7 @@ def _load_pmf(path: str) -> JointPMF:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     try:
         return parse_pmf(text)
@@ -264,6 +280,9 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # fail before the search on the common case; the write below catches the rest
+    if args.witness_out and not os.path.isdir(os.path.dirname(args.witness_out) or "."):
+        raise UsageError(f"--witness-out {args.witness_out}: no such directory")
     try:
         spec = qusearch.SupportSpec.from_json(_load_json(args.spec_file))
         ok, witness = qusearch.check_feasibility_necessary(spec)
@@ -280,16 +299,17 @@ def _cmd_search(args) -> int:
         "status": outcome.status.value,
         "nodes_explored": outcome.nodes_explored,
         "hints": [
-            {"kind": type(h).__name__.lower(), "groups": sorted(subset_name(g) for g in (
-                (h.alpha, h.beta) if isinstance(h, qusearch.Independence) else (h.base, h.extension)
-            ))}
+            {"kind": "functionaldependence", "groups": sorted((subset_name(h.base), subset_name(h.extension)))}
             for h in hints
         ],
         "witness": serialize_pmf(outcome.pmf) if outcome.pmf else None,
     }
     if outcome.pmf is not None and args.witness_out:
-        with open(args.witness_out, "w", encoding="utf-8") as fh:
-            fh.write(serialize_pmf(outcome.pmf))
+        try:
+            with open(args.witness_out, "w", encoding="utf-8") as fh:
+                fh.write(serialize_pmf(outcome.pmf))
+        except OSError as exc:
+            raise UsageError(f"--witness-out: cannot write {args.witness_out}: {exc}") from None
     _emit(report)
     if outcome.status is qusearch.SearchStatus.FOUND:
         return 0
@@ -370,6 +390,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"entrocone: {exc}", file=sys.stderr)
+        return EX_USAGE
     except DataError as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return EX_DATAERR

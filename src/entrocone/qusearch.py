@@ -23,14 +23,14 @@ rules run on these counters:
 * completion - a realized fiber must still have enough cells ahead of the
   frontier to reach its quota, and enough fresh values (with full quota
   still available ahead) must remain to reach the target count;
-* structure - optional hints derived from exact additive identities of
-  the target vector: independence of two disjoint groups forces their
-  joint projection to be the full product of the group projections, and
-  an entropy-preserving extension forces a functional dependence.  Only
-  identities that :func:`structural_hints` finds in the target are
-  accepted, since any other hint could prune every realization.  Hints
-  become per-cell tuples of fiber ids checked on the same arrays; they are
-  empty without hints, so hinted and plain runs share one code path.
+* structure - optional hints: an extension of a group of variables that
+  leaves its target size unchanged forces a functional dependence, so a
+  point may join a realized fiber of the group only inside the one joint
+  fiber already realized there.  Only the dependences that
+  :func:`structural_hints` finds in the target are accepted, since any
+  other hint could prune every realization.  Hints become per-cell tuples
+  of fiber ids checked on the same arrays; they are empty without hints,
+  so hinted and plain runs share one code path.
 
 Symmetry is broken by canonical relabeling: each variable's symbols must
 appear in increasing order of first use along the placement order.  Every
@@ -62,7 +62,6 @@ from .subsets import MAX_VARS, Subset, canonical_order, parse_subset_name, subse
 __all__ = [
     "Budget",
     "FunctionalDependence",
-    "Independence",
     "SearchOutcome",
     "SearchStatus",
     "SupportSpec",
@@ -171,16 +170,6 @@ def spec_from_vector(h: EntropyVector) -> Optional[SupportSpec]:
 
 
 @dataclass(frozen=True)
-class Independence:
-    """Exact identity h_a + h_b = h_{a|b} for disjoint groups: the joint
-    projection of any realization is the full product of the group
-    projections."""
-
-    alpha: Subset
-    beta: Subset
-
-
-@dataclass(frozen=True)
 class FunctionalDependence:
     """Exact identity h_base = h_{base|ext}: on any realization the
     extension coordinates are a function of the base coordinates."""
@@ -189,31 +178,20 @@ class FunctionalDependence:
     extension: Subset
 
 
-Hint = Independence | FunctionalDependence
-
-
-def structural_hints(h: EntropyVector) -> tuple[Hint, ...]:
-    """Detect additive identities of a log-natural target vector."""
+def structural_hints(h: EntropyVector) -> tuple[FunctionalDependence, ...]:
+    """The functional dependences of a log-natural target vector: every
+    pair of disjoint groups with h_base = h_{base|ext}."""
     from .bounds import qu_necessary
 
     if qu_necessary(h) is None:
         raise ValueError("structural hints need a vector of logs of naturals")
     order = canonical_order(h.n)
-    hints: list[Hint] = []
-    for i, alpha in enumerate(order):
-        for beta in order[i + 1:]:
-            if alpha & beta:
-                continue
-            joint = h.coord(alpha | beta)
-            if h.coord(alpha) + h.coord(beta) == joint:
-                hints.append(Independence(alpha, beta))
-    for alpha in order:
-        for beta in order:
-            if alpha & beta or not beta:
-                continue
-            if h.coord(alpha | beta) == h.coord(alpha):
-                hints.append(FunctionalDependence(alpha, beta))
-    return tuple(hints)
+    return tuple(
+        FunctionalDependence(alpha, beta)
+        for alpha in order
+        for beta in order
+        if not alpha & beta and h.coord(alpha | beta) == h.coord(alpha)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +226,16 @@ class _Engine:
     A fiber is one value of one subset's projection.  All fibers share the
     flat ``counts`` and ``future`` arrays, indexed by a fiber id (the
     subset's offset plus the mixed-radix value of its coordinates), and
-    each cell carries the tuple of its ``(subset, fiber id)`` pairs.  Hints
-    add per-cell check tuples that are empty where no hint applies, so
-    hinted and plain runs take the same path.  :meth:`run` walks the tree
-    in one loop; ``_try_include``/``_undo_include`` and
+    each cell carries the tuple of its ``(subset, fiber id)`` pairs.  Its
+    ``fd_checks`` tuple holds one ``(base fiber, joint fiber)`` pair per
+    functional dependence hint: including the cell needs the joint fiber
+    realized whenever the base fiber is.  Without hints the tuples are
+    empty, so hinted and plain runs take the same path.  :meth:`run` walks
+    the tree in one loop; ``_try_include``/``_undo_include`` and
     ``_advance``/``_retreat`` are the two branches of a cell and their undo.
     """
 
-    def __init__(self, spec: SupportSpec, hints: Sequence[Hint] = ()):
+    def __init__(self, spec: SupportSpec, hints: Sequence[FunctionalDependence] = ()):
         self.n = spec.n
         self.sizes = sizes = spec.alphabet_sizes()
         self.m_total = spec.total
@@ -264,22 +244,21 @@ class _Engine:
         self.ncells = ncells = len(self.cells)
 
         # fiber id = offset of the subset + sum of coord * stride
-        self.strides: list[list[tuple[int, int]]] = []
+        strides: list[list[tuple[int, int]]] = []
         nvals = []
         for a in subsets:
             acc = 1
-            strides = []
+            strides.append([])
             for i in sorted(a, reverse=True):
-                strides.append((i - 1, acc))
+                strides[-1].append((i - 1, acc))
                 acc *= sizes[i - 1]
-            self.strides.append(strides)
             nvals.append(acc)
-        self.offset = list(itertools.accumulate(nvals, initial=0))
+        offset = list(itertools.accumulate(nvals, initial=0))
         columns = list(zip(*self.cells))
         fiber_columns = []
-        for a, strides in enumerate(self.strides):
-            col = [self.offset[a]] * ncells
-            for i, s in strides:
+        for a, subset_strides in enumerate(strides):
+            col = [offset[a]] * ncells
+            for i, s in subset_strides:
                 col = [f + x * s for f, x in zip(col, columns[i])]
             fiber_columns.append(zip(itertools.repeat(a), col))
         self.cell_fibers: list[tuple[tuple[int, int], ...]] = list(zip(*fiber_columns))
@@ -291,7 +270,7 @@ class _Engine:
         self.realized = [0] * len(subsets)
         self.openable = []
         # per fiber: points placed and cells not yet decided
-        self.counts = [0] * self.offset[-1]
+        self.counts = [0] * offset[-1]
         self.future = []
         for a, nv in enumerate(nvals):
             grid_fiber = ncells // nv
@@ -299,60 +278,13 @@ class _Engine:
             self.openable.append(nv if grid_fiber >= self.quota[a] else 0)
         self.maxused = [-1] * self.n
         self.chosen: list[int] = []
-        self._hint_checks(subsets, hints)
+        sub_index = {a: k for k, a in enumerate(subsets)}
+        fd = [(sub_index[h.base], sub_index[h.base | h.extension]) for h in hints]
+        self.fd_checks: list[tuple[tuple[int, int], ...]] = [()] * ncells
+        if fd:
+            self.fd_checks = [tuple((fibers[b][1], fibers[j][1]) for b, j in fd) for fibers in self.cell_fibers]
 
         self.nodes = 0
-
-    def _fiber(self, a: int, coord: Sequence[int]) -> int:
-        return self.offset[a] + sum(coord[i] * s for i, s in self.strides[a])
-
-    def _hint_checks(self, subsets: Sequence[Subset], hints: Sequence[Hint]) -> None:
-        """Per-cell check tuples for the hints:
-
-        * ``fd_checks[ci]``: ``(base fiber, joint fiber)`` of the cell per
-          functional dependence; including the cell needs the joint fiber
-          realized whenever the base fiber is;
-        * ``realize_checks[ci]``: ``(fiber, ((partner, joint, joint quota),
-          ...))`` for the cell's fibers in an independent group; realizing
-          the fiber while a partner is realized needs their joint fiber to
-          stay completable;
-        * ``joint_checks[ci]``: ``(joint fiber, joint quota, ((fa, fb),
-          ...))`` for the cell's fibers of an independent union; an empty
-          joint fiber that can no longer fill must not have both parts
-          realized.
-        """
-        sub_index = {a: k for k, a in enumerate(subsets)}
-        fd = []
-        partners: dict[int, list[tuple[int, int, int]]] = {}
-        parts: dict[int, list[tuple[int, int]]] = {}
-        for hint in hints:
-            if isinstance(hint, FunctionalDependence):
-                fd.append((sub_index[hint.base], sub_index[hint.base | hint.extension]))
-                continue
-            ia, ib = sub_index[hint.alpha], sub_index[hint.beta]
-            ij = sub_index[hint.alpha | hint.beta]
-            seen = set()
-            for coord in self.cells:
-                fj = self._fiber(ij, coord)
-                if fj not in seen:
-                    seen.add(fj)
-                    fa, fb = self._fiber(ia, coord), self._fiber(ib, coord)
-                    parts.setdefault(fj, []).append((fa, fb))
-                    partners.setdefault(fa, []).append((fb, fj, self.quota[ij]))
-                    partners.setdefault(fb, []).append((fa, fj, self.quota[ij]))
-        cells = self.cell_fibers
-        self.fd_checks: list[tuple[tuple[int, int], ...]] = [()] * self.ncells
-        self.realize_checks: list[tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]] = [()] * self.ncells
-        self.joint_checks: list[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]] = [()] * self.ncells
-        if fd:
-            self.fd_checks = [tuple((fibers[b][1], fibers[j][1]) for b, j in fd) for fibers in cells]
-        if partners:
-            self.realize_checks = [
-                tuple((f, tuple(partners[f])) for _, f in fibers if f in partners) for fibers in cells
-            ]
-            self.joint_checks = [
-                tuple((f, self.quota[a], tuple(parts[f])) for a, f in fibers if f in parts) for fibers in cells
-            ]
 
     # -- frontier advance past an excluded cell ------------------------------
 
@@ -374,11 +306,6 @@ class _Engine:
                 self.openable[a] -= 1
                 if self.openable[a] < self.target[a] - self.realized[a]:
                     ok = False
-        for f, q, pairs in self.joint_checks[ci]:
-            if not counts[f] and future[f] < q:
-                for fa, fb in pairs:
-                    if counts[fa] and counts[fb]:
-                        ok = False
         return ok
 
     def _retreat(self, ci: int) -> None:
@@ -415,8 +342,7 @@ class _Engine:
 
         # place the point and move the frontier in one pass: a fiber holding
         # the point is never empty, so of _advance's rules only the capacity
-        # rule applies; the realize checks read partner counts, so they run
-        # once every fiber of the cell is updated
+        # rule applies
         future, openable = self.future, self.openable
         ok = True
         for a, f in fibers:
@@ -431,11 +357,6 @@ class _Engine:
                     openable[a] -= 1
             if c < q and c + fu < q:
                 ok = False
-        for f, checks in self.realize_checks[ci]:
-            if counts[f] == 1:
-                for partner, joint, q in checks:
-                    if counts[partner] and not counts[joint] and future[joint] < q:
-                        ok = False
         for i in bumps:
             maxused[i] += 1
         self.chosen.append(ci)
@@ -518,33 +439,27 @@ class _Engine:
         return JointPMF(self.sizes, {self.cells[ci]: p for ci in support})
 
 
-def _check_hints(spec: SupportSpec, hints: Sequence[Hint]) -> None:
-    """Reject any hint that is not one of the spec's structural hints."""
-    variables = range(1, spec.n + 1)
-    for hint in hints:
-        if isinstance(hint, Independence):
-            groups = (hint.alpha, hint.beta)
-        elif isinstance(hint, FunctionalDependence):
-            groups = (hint.base, hint.extension)
-        else:
-            raise ValueError(f"unknown hint {hint!r}")
-        if not all(isinstance(g, frozenset) and all(isinstance(i, int) and i in variables for i in g) for g in groups):
-            raise ValueError(f"hint fields must be frozensets of variable indices 1..{spec.n}: {hint!r}")
+def _check_hints(spec: SupportSpec, hints: Sequence[FunctionalDependence]) -> None:
+    """Reject any hint that is not one of the spec's structural hints.  The
+    fields must be frozensets too: a set field compares equal to one."""
     derived = structural_hints(spec.vector())
-    if not all(hint in derived for hint in hints):
-        raise ValueError("hints must be identities of the spec's log-size vector (structural_hints)")
+    for hint in hints:
+        if hint not in derived or not all(isinstance(g, frozenset) for g in (hint.base, hint.extension)):
+            raise ValueError(f"hint {hint!r} is not one of structural_hints(spec.vector()) with frozensets for fields")
 
 
-def search(spec: SupportSpec, budget: Optional[Budget] = None, hints: Sequence[Hint] = ()) -> SearchOutcome:
+def search(
+    spec: SupportSpec, budget: Optional[Budget] = None, hints: Sequence[FunctionalDependence] = ()
+) -> SearchOutcome:
     """Look for a support realizing the spec; uniform PMF on success.
 
     Deterministic: identical spec, hints and budget reproduce the same
     outcome, node count and witness.
 
-    Every hint must be one of ``structural_hints(spec.vector())`` with
-    frozenset fields; any other hint raises ValueError, because it could
-    prune every realization and turn a feasible spec into a false
-    EXHAUSTED_INFEASIBLE.
+    Every hint must be one of the functional dependences that
+    ``structural_hints(spec.vector())`` returns, with frozenset fields;
+    any other hint raises ValueError, because it could prune every
+    realization and turn a feasible spec into a false EXHAUSTED_INFEASIBLE.
     """
     ok, witness = check_feasibility_necessary(spec)
     if not ok:

@@ -188,6 +188,16 @@ class TestSearchCommand:
         assert len(pmf.mass) == 48
         assert report["witness"] == out.read_text()
 
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_witness_out_is_usage_error(self, tmp_path, capsys, where):
+        # a missing directory is caught before the search, a path that
+        # cannot be opened for writing when the witness is written
+        out = tmp_path / "missing" / "w.pmf" if where == "missing_directory" else tmp_path
+        code = main(["search", fx("spec_f.json"), "--witness-out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EX_USAGE and captured.out == ""
+        assert "--witness-out" in captured.err
+
     def test_search_budget_exceeded(self, capsys):
         code, report = run(
             capsys, "search", fx("spec_omega_candidate.json"),
@@ -195,8 +205,7 @@ class TestSearchCommand:
         )
         assert code == EX_INCONCLUSIVE
         assert report["status"] == "budget_exceeded"
-        kinds = {h["kind"] for h in report["hints"]}
-        assert kinds == {"independence"}
+        assert report["hints"] == []  # the candidate has no functional dependence
 
     def test_search_infeasible_spec(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
@@ -344,9 +353,11 @@ def _vec_with_first(coord) -> str:
     return json.dumps({"n": 3, "coords": [coord, *_VEC_COORDS[1:]]})
 
 
+_NON_UTF8 = b"\xff\xfe"
 _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
     "pmf": {
         "missing_file": None,
+        "non_utf8": _NON_UTF8,
         "malformed": "pmf n=3\n0 0 0 : 1/1\n",
         "decimal": "pmf n=1 sizes=2\n0 : 0.5\n1 : 0.5\n",
         "above_factoring_cap": f"pmf n=1 sizes=2\n0 : 1/{_BIG}\n1 : {_BIG - 1}/{_BIG}\n",
@@ -355,6 +366,7 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
     },
     "vec": {
         "missing_file": None,
+        "non_utf8": _NON_UTF8,
         "invalid_json": "{",
         "not_an_object": "[]",
         "n7": json.dumps({"n": 7, "coords": ["log 2"] * 127}),
@@ -367,9 +379,13 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         "log_terms_not_an_object": _vec_with_first({"log_terms": ["2"]}),
         "prime_named_twice": _vec_with_first({"log_terms": {"2": "1/1", "02": "1/1"}}),
         "order_not_a_list": json.dumps({"n": 3, "order": 5, "coords": _VEC_COORDS}),
+        # json.dumps cannot repeat a key, so the repeats are spliced in
+        "repeated_key": '{"n": 3, ' + json.dumps({"n": 3, "coords": _VEC_COORDS})[1:],
+        "repeated_prime": _vec_with_first({"log_terms": {"2": "1/1"}}).replace('"2": "1/1"', '"2": "1/1", "2": "5/1"'),
     },
     "spec": {
         "missing_file": None,
+        "non_utf8": _NON_UTF8,
         "invalid_json": "{",
         "not_an_object": "[]",
         "n7": json.dumps({"n": 7, "m": {"1": 2}}),
@@ -378,6 +394,8 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         "zero_size": json.dumps({"n": 2, "m": {"1": 0, "2": 2, "12": 2}}),
         "decimal": json.dumps({"n": 1, "m": {"1": 1.5}}),
         "above_factoring_cap": json.dumps({"n": 1, "m": {"1": _BIG}}),
+        "repeated_key": '{"n": 1, ' + json.dumps({"n": 1, "m": {"1": 2}})[1:],
+        "repeated_subset": '{"n": 1, "m": {"1": 2, "1": 3}}',
     },
 }
 _COMMANDS = {  # command: (input file kind, arguments after the file)
@@ -412,7 +430,9 @@ def test_bad_input_is_usage_or_data_error(tmp_path, capsys, argv, content):
     # exit 1 is the negative verdict and nothing else: every bad input is a
     # usage error (64) or a data error (65), with no report on stdout
     path = tmp_path / "input"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     try:
         code = main([str(path) if arg is BAD else arg for arg in argv])

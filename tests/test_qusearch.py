@@ -9,7 +9,6 @@ from entrocone.qusearch import (
     _Engine,
     Budget,
     FunctionalDependence,
-    Independence,
     SearchStatus,
     SupportSpec,
     brute_force_oracle,
@@ -225,10 +224,9 @@ class TestNodeCounts:
             assert_realizes(outcome, spec)
 
     def test_rejected_inclusion_leaves_no_trace(self):
-        # An independence hint can reject a placement after its counters
-        # moved; the rejection must restore them exactly, or the leftover
-        # capacity weakens later pruning (this spec took 267 nodes hinted
-        # when it did not).
+        # The capacity rule rejects a placement after its counters moved;
+        # the rejection must restore them exactly, or the leftover capacity
+        # weakens later pruning.
         spec = mkspec(3, [5, 5, 5, 15, 25, 25, 75])
         rejected = []
 
@@ -315,30 +313,25 @@ class TestOracle:
 
 class TestHints:
     def test_candidate_vector_hints(self):
-        hints = structural_hints(candidate_vector())
-        indep = {(tuple(sorted(h.alpha)), tuple(sorted(h.beta)))
-                 for h in hints if isinstance(h, Independence)}
-        assert indep == {((1,), (3,)), ((2,), (3,))}
-        assert not any(isinstance(h, FunctionalDependence) for h in hints)
+        # independent pairs (h_13 = h_1 + h_3) are not hints; the candidate
+        # has no functional dependence
+        assert structural_hints(candidate_vector()) == ()
 
-    def test_f_vector_hints_fire_for_all_pairs(self):
-        hints = structural_hints(f_vector())
-        indep = {(tuple(sorted(h.alpha)), tuple(sorted(h.beta)))
-                 for h in hints if isinstance(h, Independence)}
-        assert indep == {((1,), (2,)), ((1,), (3,)), ((2,), (3,))}
+    def test_f_vector_has_no_hints(self):
+        assert structural_hints(f_vector()) == ()
 
     def test_parity_vector_hints_include_functional_dependence(self):
         vec = entropy_vector(search(PARITY_SPEC).pmf)
         hints = structural_hints(vec)
-        fd = {(tuple(sorted(h.base)), tuple(sorted(h.extension)))
-              for h in hints if isinstance(h, FunctionalDependence)}
+        assert all(isinstance(h, FunctionalDependence) for h in hints)
+        fd = {(tuple(sorted(h.base)), tuple(sorted(h.extension))) for h in hints}
         assert ((1, 2), (3,)) in fd
 
     def test_product_vector_hint(self):
+        # X1 and X2 independent and uniform: no variable is a function of others
         spec = mkspec(2, [2, 2, 4])
         vec = entropy_vector(search(spec).pmf)
-        hints = structural_hints(vec)
-        assert Independence(frozenset({1}), frozenset({2})) in hints
+        assert structural_hints(vec) == ()
 
     def test_rejects_non_natural_vector(self):
         with pytest.raises(ValueError):
@@ -361,7 +354,7 @@ class TestHints:
 
     def test_hint_indices_must_be_variables(self):
         with pytest.raises(ValueError, match="frozensets"):
-            search(PARITY_SPEC, hints=[Independence(frozenset({0}), frozenset({4}))])
+            search(PARITY_SPEC, hints=[FunctionalDependence(frozenset({0}), frozenset({4}))])
         with pytest.raises(ValueError):
             search(PARITY_SPEC, hints=["not a hint"])
 
