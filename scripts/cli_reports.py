@@ -14,7 +14,10 @@ fixtures shipped in `entrocone/fixtures` and all nine commands:
 For each run one line gives the argv (fixtures by file name), the exit
 code and the SHA-256 of stdout; a last line gives the SHA-256 of all the
 lines before it.  Stderr is discarded and no file is written, so two
-checkouts compare with `diff` on this script's output.
+checkouts compare with `diff` on this script's output.  The output of the
+current code is committed as `scripts/cli_reports.expected`:
+
+    python3 scripts/cli_reports.py | diff scripts/cli_reports.expected -
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ its verdict in the exit code:
     1   verdict is negative (not a member, not quasi-uniform, ...)
     2   inconclusive (search budget exceeded, or an exact sign left
         unresolved at the precision cap)
-    64  usage error
+    64  usage error (also a search budget that cannot be met)
     65  data error in an input file
     70  internal error (an uncaught exception; the traceback goes to stderr)
 
@@ -280,6 +280,10 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    try:
+        budget = qusearch.Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
+    except ValueError as exc:
+        raise UsageError(f"search budget: {exc}") from None
     # fail before the search on the common case; the write below catches the rest
     if args.witness_out and not os.path.isdir(os.path.dirname(args.witness_out) or "."):
         raise UsageError(f"--witness-out {args.witness_out}: no such directory")
@@ -292,7 +296,6 @@ def _cmd_search(args) -> int:
         _emit({"command": "search", "status": "infeasible_necessary", "witness": witness})
         return EX_FALSE
     hints = qusearch.structural_hints(spec.vector())
-    budget = qusearch.Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
     outcome = qusearch.search(spec, budget=budget, hints=hints)
     report = {
         "command": "search",

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .logexact import LogLinear
+from .logexact import LogLinear, dot
 from .subsets import MAX_VARS, Subset, canonical_order, subset_index_map, subset_name
 
 __all__ = [
@@ -140,14 +141,11 @@ def marginalize(pmf: JointPMF, alpha: Iterable[int]) -> JointPMF:
 def entropy(pmf: JointPMF) -> LogLinear:
     """Exact Shannon entropy, unit-free (render in bits via approx_bits)."""
     N = pmf.common_denominator
-    multiplicities: dict[int, int] = {}
-    for a in pmf.integer_counts.values():
-        multiplicities[a] = multiplicities.get(a, 0) + 1
-    acc = LogLinear.from_log_int(N)
-    for a, times in multiplicities.items():
-        if a > 1:
-            acc = acc - LogLinear.from_log_int(a).scale(Fraction(times * a, N))
-    return acc
+    times = Counter(a for a in pmf.integer_counts.values() if a > 1)
+    return dot(
+        [1, *(-Fraction(k * a, N) for a, k in times.items())],
+        map(LogLinear.from_log_int, [N, *times]),
+    )
 
 
 class EntropyVector:

@@ -33,11 +33,14 @@ positive real ``x = prod_p p**q_p`` in whatever base the caller prefers;
 ordering, integrality tests and ceilings depend only on ``x``.  The base
 matters for decimal display only, hence the three renderers
 :meth:`LogLinear.approx_bits`, :meth:`LogLinear.approx_ln` and
-:meth:`LogLinear.approx_exp`.  Antilogs are only formed, exactly or as an
-enclosure, for values with ``sum_p |q_p| * log2 p`` at most
-``_ANTILOG_BITS_CAP``; larger ones raise :class:`ValueError`, because the
-exact power would take unbounded time and memory and its integer part
-would not print under Python's int-to-str digit limit.
+:meth:`LogLinear.approx_exp`.  Antilogs have two caps of ``_ANTILOG_BITS_CAP``
+bits.  An exact power (``as_log_natural``, ``as_log_fraction``) needs
+``sum_p |q_p| * log2 p`` within the cap; an enclosure (``pow2_ceil`` of a
+non-natural antilog, ``approx_exp`` of an irrational one) needs both ends
+of its log enclosure within the cap of zero, checked before ``exp``.  Past
+either cap :class:`ValueError` is raised: the antilog would take unbounded
+time and memory, and its integer part would not print under Python's
+int-to-str digit limit.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ _PREC_START = 64
 _PREC_CAP = 1 << 16
 # 2**14_000 has 4215 decimal digits, below the 4300-digit int-to-str limit.
 _ANTILOG_BITS_CAP = 14_000
+# the cap in nats, fixed and rational; rounding ln 2 moves it by under 1e-12
+_ANTILOG_LN_CAP = _ANTILOG_BITS_CAP * Fraction(math.log(2))
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -275,25 +280,17 @@ class LogLinear:
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other: "LogLinear") -> "LogLinear":
-        if not isinstance(other, LogLinear):
-            return NotImplemented
-        merged = dict(self._terms)
-        for p, q in other._terms.items():
-            merged[p] = merged.get(p, 0) + q
-        return LogLinear(merged)
+        return dot((1, 1), (self, other)) if isinstance(other, LogLinear) else NotImplemented
 
     def __sub__(self, other: "LogLinear") -> "LogLinear":
-        if not isinstance(other, LogLinear):
-            return NotImplemented
-        return self + (-other)
+        return dot((1, -1), (self, other)) if isinstance(other, LogLinear) else NotImplemented
 
     def __neg__(self) -> "LogLinear":
-        return LogLinear({p: -q for p, q in self._terms.items()})
+        return dot((-1,), (self,))
 
     def scale(self, q) -> "LogLinear":
         """Multiply by an exact rational scalar."""
-        q = Fraction(q)
-        return LogLinear({p: q * c for p, c in self._terms.items()})
+        return dot((q,), (self,))
 
     def __mul__(self, q) -> "LogLinear":
         if isinstance(q, (int, Fraction)):
@@ -306,9 +303,7 @@ class LogLinear:
 
     def _enclosure(self, prec: int, antilog: bool = False) -> tuple[Fraction, Fraction]:
         """Rational interval containing ``sum q_p * ln p`` at given precision,
-        or its antilog ``prod p**q_p``."""
-        if antilog:
-            self._check_antilog_bits()
+        or its antilog if both ends are within ``_ANTILOG_LN_CAP`` of zero."""
         near, down, up = _contexts(prec)
         lo = hi = decimal.Decimal(0)
         for p, q in self._terms.items():
@@ -318,13 +313,15 @@ class LogLinear:
                 ln_lo, ln_hi = ln_hi, ln_lo
             lo = down.add(lo, down.divide(down.multiply(ln_lo, q.numerator), q.denominator))
             hi = up.add(hi, up.divide(up.multiply(ln_hi, q.numerator), q.denominator))
-        if antilog:
-            lo, hi = near.next_minus(near.exp(lo)), near.next_plus(near.exp(hi))
-        return Fraction(lo), Fraction(hi)
+        if not antilog:
+            return Fraction(lo), Fraction(hi)
+        if max(-Fraction(lo), Fraction(hi)) > _ANTILOG_LN_CAP:
+            raise ValueError(f"antilog of {self!r} is outside 2**-{_ANTILOG_BITS_CAP}..2**{_ANTILOG_BITS_CAP}")
+        return Fraction(near.next_minus(near.exp(lo))), Fraction(near.next_plus(near.exp(hi)))
 
     def _check_antilog_bits(self) -> None:
-        """Reject a value whose antilog has more than _ANTILOG_BITS_CAP bits
-        (``sum |q_p| * log2 p``) before any power or enclosure of it."""
+        """Reject a value whose exact antilog has more than _ANTILOG_BITS_CAP
+        bits (``sum |q_p| * log2 p``) before the power is formed."""
         # the first test keeps the float sum below from overflowing
         if any(abs(q) > _ANTILOG_BITS_CAP for q in self._terms.values()) or (
             sum(abs(q) * math.log2(p) for p, q in self._terms.items()) > _ANTILOG_BITS_CAP
@@ -388,18 +385,16 @@ class LogLinear:
     def pow2_ceil(self) -> int:
         """Ceiling of the antilog ``prod p**q_p`` of a nonnegative value.
 
-        With integer coefficients the antilog is an exact rational and the
-        ceiling is computed exactly.  Otherwise the antilog is irrational
-        (unique factorization forbids rational values with fractional
-        exponents), so no integer boundary can be hit; interval refinement
-        resolves the ceiling unless the antilog lies too close to an integer
-        for the precision cap, which raises :class:`PrecisionExhausted`.
+        A natural antilog is computed exactly.  Any other is no integer (a
+        negative or fractional exponent survives unique factorization), so
+        interval refinement resolves the ceiling unless the antilog lies too
+        close to an integer for the precision cap, which raises
+        :class:`PrecisionExhausted`.
         """
         if self.sign() == Sign.NEGATIVE:
             raise ValueError("ceiling of an antilog below 1 requested on a negative value")
-        exact = self.as_log_fraction()
-        if exact is not None:
-            return math.ceil(exact)
+        if (m := self.as_log_natural()) is not None:
+            return m
 
         def decide(prec: int) -> Optional[int]:
             lo, hi = self._enclosure(prec, antilog=True)
@@ -504,10 +499,14 @@ def from_log_rational(a: int, b: int) -> LogLinear:
     return LogLinear.from_log_rational(a, b)
 
 
-def dot(coeffs: Iterable[int], values: Iterable[LogLinear]) -> LogLinear:
-    """Integer linear combination of exact values."""
-    acc = LogLinear.zero()
+def dot(coeffs: Iterable, values: Iterable[LogLinear]) -> LogLinear:
+    """The rational combination ``sum_i c_i * v_i``, built once: the maps
+    are summed per prime into one dict and one :class:`LogLinear` is built.
+    Coefficients are anything :class:`~fractions.Fraction` accepts."""
+    merged: dict[int, Fraction] = {}
     for c, v in zip(coeffs, values):
+        c = Fraction(c)
         if c:
-            acc = acc + v.scale(c)
-    return acc
+            for p, q in v._terms.items():
+                merged[p] = merged.get(p, 0) + c * q
+    return LogLinear(merged)

@@ -204,6 +204,12 @@ class Budget:
     max_nodes: int = 10_000_000
     max_seconds: float = 60.0
 
+    def __post_init__(self):
+        if type(self.max_nodes) is not int or self.max_nodes < 1:
+            raise ValueError(f"max_nodes must be an integer of at least 1, not {self.max_nodes!r}")
+        if not self.max_seconds > 0:  # also false for NaN; inf is no time limit
+            raise ValueError(f"max_seconds must be positive, not {self.max_seconds!r}")
+
 
 @unique
 class SearchStatus(Enum):

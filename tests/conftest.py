@@ -53,6 +53,27 @@ def candidate_vector() -> EntropyVector:
     return EntropyVector(3, [from_log_int(m) for m in (9, 9, 6, 54, 54, 54, 216)])
 
 
+@pytest.fixture
+def count_values(monkeypatch):
+    """``count_values(fn)`` is the number of ``LogLinear`` values ``fn()``
+    builds, counted on ``LogLinear.__init__`` as perfbench's tracer does."""
+    built = [0]
+    init = LogLinear.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LogLinear, "__init__", counting)
+
+    def count(fn) -> int:
+        built[0] = 0
+        fn()
+        return built[0]
+
+    return count
+
+
 def seeded_rng(salt: str = "") -> random.Random:
     return random.Random(f"entrocone:{salt}")
 

@@ -198,6 +198,20 @@ class TestSearchCommand:
         assert code == EX_USAGE and captured.out == ""
         assert "--witness-out" in captured.err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--budget-nodes", "-5"),
+        ("--budget-nodes", "0"),
+        ("--budget-seconds", "-1"),
+        ("--budget-seconds", "nan"),
+    ])
+    def test_unmeetable_budget_is_usage_error(self, tmp_path, capsys, flag, value):
+        # the budget is checked before the spec file is read
+        for spec in (fx("spec_f.json"), str(tmp_path / "missing.json")):
+            code = main(["search", spec, flag, value])
+            captured = capsys.readouterr()
+            assert code == EX_USAGE and captured.out == ""
+            assert "budget" in captured.err
+
     def test_search_budget_exceeded(self, capsys):
         code, report = run(
             capsys, "search", fx("spec_omega_candidate.json"),
@@ -321,6 +335,17 @@ class TestExitCodes:
         assert time.monotonic() - start < 2
         assert proc.returncode == EX_DATAERR
         assert "antilog" in proc.stderr and proc.stdout == ""
+
+    def test_antilog_near_one_is_a_verdict(self, tmp_path, capsys):
+        # lambda = 24727 log 2 - 15601 log 3 has an antilog of about 1.000006:
+        # its exact power is past the cap, its ceiling (2) is not
+        coords = [{"log_terms": {"2": f"{24727 * k}/1", "3": f"{-15601 * k}/1"}} for k in (1, 1, 1, 2, 2, 2, 2)]
+        vec = tmp_path / "near_one.vec"
+        vec.write_text(json.dumps({"n": 3, "coords": coords}))
+        code, report = run(capsys, "inner", str(vec), "omega")
+        assert code == EX_FALSE and report["member"] is False
+        ceiling = report["conditions"][0]
+        assert (ceiling["name"], ceiling["holds"], ceiling["values"]["ceiling"]) == ("ceiling_12_123p", False, 2)
 
     def test_crash_is_internal_error(self, monkeypatch, capsys):
         def crash(_h):

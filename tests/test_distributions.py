@@ -111,6 +111,11 @@ class TestEntropy:
         ev = entropy_vector(pmf)
         assert list(ev.coords) == [from_log_int(2), from_log_int(2), from_log_int(4)]
 
+    def test_builds_one_value_per_distinct_count_plus_two(self, table1_pmf, table2_pmf, count_values):
+        for pmf in (table1_pmf, table2_pmf, marginalize(table2_pmf, [1, 2])):
+            distinct = len(set(pmf.integer_counts.values()))
+            assert count_values(lambda: entropy(pmf)) <= distinct + 2
+
 
 class TestEntropyVector:
     def test_table1_is_f(self, table1_pmf):

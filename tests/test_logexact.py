@@ -11,6 +11,7 @@ from entrocone.logexact import (
     _PREC_START,
     LogLinear,
     Sign,
+    dot,
     from_log_int,
     from_log_rational,
 )
@@ -117,6 +118,53 @@ class TestArithmetic:
         # structural equality with zero is consistent with the float value
         if a == LogLinear.zero():
             assert abs(as_float(a)) < 1e-9
+
+
+def combination_oracle(coeffs, values) -> dict:
+    """``sum_i c_i * v_i`` as a prime-to-coefficient dict, prime by prime."""
+    coeffs = [Fraction(c) for c in coeffs]
+    primes = {p for v in values for p in v.terms}
+    sums = {p: sum((c * v.terms.get(p, 0) for c, v in zip(coeffs, values)), Fraction(0)) for p in primes}
+    return {p: q for p, q in sums.items() if q != 0}
+
+
+class TestDot:
+    def test_operations_match_coefficient_oracle(self):
+        rng = seeded_rng("dot-oracle")
+        for _ in range(300):
+            vs = [random_loglinear(rng, primes=(2, 3, 5, 7, 11)) for _ in range(rng.randrange(1, 8))]
+            cs = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in vs]
+            a, b, q = vs[0], vs[-1], cs[0]
+            assert dot(cs, vs).terms == combination_oracle(cs, vs)
+            assert (a + b).terms == combination_oracle([1, 1], [a, b])
+            assert (a - b).terms == combination_oracle([1, -1], [a, b])
+            assert (-a).terms == combination_oracle([-1], [a])
+            assert a.scale(q).terms == combination_oracle([q], [a])
+            assert (q * a).terms == (a * q).terms == a.scale(q).terms
+            # appending minus the combination cancels it exactly
+            assert dot(cs + [-1], vs + [dot(cs, vs)]) == LogLinear.zero()
+
+    def test_exact_cancellation(self):
+        a = LogLinear({2: Fraction(1, 3), 7: Fraction(-5, 2)})
+        assert (a - a).terms == {}
+        assert dot([Fraction(3, 4), Fraction(-1, 2)], [a.scale(2), a.scale(3)]).terms == {}
+        assert dot(["1/2", 0], [a, a]).terms == {2: Fraction(1, 6), 7: Fraction(-5, 4)}
+        assert dot([], []) == LogLinear.zero()
+
+    def test_each_operation_builds_one_value(self, count_values):
+        a = LogLinear({2: Fraction(1, 2), 3: 1})
+        b = LogLinear({3: -1, 5: 2})
+        q = Fraction(2, 3)
+        values = [from_log_int(m) for m in (2, 3, 5, 6, 10, 15, 30)]
+        ops = {
+            "add": lambda: a + b,
+            "sub": lambda: a - b,
+            "neg": lambda: -a,
+            "scale": lambda: a.scale(q),
+            "rmul": lambda: q * a,
+            "dot7": lambda: dot(range(1, 8), values),
+        }
+        assert {name: count_values(op) for name, op in ops.items()} == dict.fromkeys(ops, 1)
 
 
 class TestSign:
@@ -401,6 +449,12 @@ class TestAntilogCap:
         with pytest.raises(ValueError, match="antilog"):
             LogLinear({3: -9000}).as_log_fraction()
 
+    def test_ceiling_near_one_with_large_coefficients(self):
+        # the exact power is far past the cap, the magnitude (about 8.6e-6
+        # bits) is not, and the antilog is no integer
+        lam = LogLinear({2: 24727, 3: -15601})
+        assert lam.pow2_ceil() == ceil_root_oracle(lam) == 2
+
     def test_integrality_is_decided_before_the_cap(self):
         huge = LogLinear({2: Fraction(10**12, 7)})
         assert huge.as_log_natural() is None
@@ -410,7 +464,9 @@ class TestAntilogCap:
     @pytest.mark.parametrize(
         "v, method",
         [(LogLinear({2: 10**12, 3: 1}), m) for m in ("as_log_natural", "as_log_fraction", "pow2_ceil", "approx_exp")]
-        + [(LogLinear({2: Fraction(10**12 + 1, 3)}), m) for m in ("pow2_ceil", "approx_exp")],
+        + [(LogLinear({2: Fraction(10**12 + 1, 3)}), m) for m in ("pow2_ceil", "approx_exp")]
+        # tiny antilogs: the exact-power cap and the magnitude cap
+        + [(LogLinear({2: q}), "approx_exp") for q in (-(10**12), Fraction(-(10**12), 3))],
     )
     def test_huge_exponents_rejected(self, v, method):
         with pytest.raises(ValueError, match="antilog"):

@@ -168,6 +168,23 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(mkspec(2, [2, 2, 3]))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_nodes": 0},
+        {"max_nodes": -5},
+        {"max_nodes": True},
+        {"max_nodes": 10.0},
+        {"max_seconds": 0},
+        {"max_seconds": -1.0},
+        {"max_seconds": float("nan")},
+    ])
+    def test_unmeetable_budget_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="max_"):
+            Budget(**kwargs)
+
+    def test_smallest_and_unlimited_budgets_accepted(self):
+        outcome = search(PARITY_SPEC, budget=Budget(max_nodes=1, max_seconds=float("inf")))
+        assert (outcome.status, outcome.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 2)
+
     def test_deep_grid(self):
         # 1,000 cells, all of them in the support: the walk goes as deep as
         # the grid, one node per cell and one for the full placement
