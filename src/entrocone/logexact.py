@@ -34,13 +34,13 @@ ordering, integrality tests and ceilings depend only on ``x``.  The base
 matters for decimal display only, hence the three renderers
 :meth:`LogLinear.approx_bits`, :meth:`LogLinear.approx_ln` and
 :meth:`LogLinear.approx_exp`.  Antilogs have two caps of ``_ANTILOG_BITS_CAP``
-bits.  An exact power (``as_log_natural``, ``as_log_fraction``) needs
-``sum_p |q_p| * log2 p`` within the cap; an enclosure (``pow2_ceil`` of a
-non-natural antilog, ``approx_exp`` of an irrational one) needs both ends
-of its log enclosure within the cap of zero, checked before ``exp``.  Past
-either cap :class:`ValueError` is raised: the antilog would take unbounded
-time and memory, and its integer part would not print under Python's
-int-to-str digit limit.
+bits.  An exact power needs integer coefficients and ``sum_p |q_p| *
+log2 p`` within the cap, past which ``as_log_natural``/``as_log_fraction``
+raise :class:`ValueError`; ``pow2_ceil`` and ``approx_exp`` then use an
+enclosure, which needs both ends of its log enclosure within the cap of
+zero, checked before ``exp``.  Past that cap :class:`ValueError` is raised:
+the antilog would take unbounded time and memory, and its integer part
+would not print under Python's int-to-str digit limit.
 """
 
 from __future__ import annotations
@@ -319,14 +319,15 @@ class LogLinear:
             raise ValueError(f"antilog of {self!r} is outside 2**-{_ANTILOG_BITS_CAP}..2**{_ANTILOG_BITS_CAP}")
         return Fraction(near.next_minus(near.exp(lo))), Fraction(near.next_plus(near.exp(hi)))
 
-    def _check_antilog_bits(self) -> None:
-        """Reject a value whose exact antilog has more than _ANTILOG_BITS_CAP
-        bits (``sum |q_p| * log2 p``) before the power is formed."""
-        # the first test keeps the float sum below from overflowing
-        if any(abs(q) > _ANTILOG_BITS_CAP for q in self._terms.values()) or (
+    def _exact_antilog(self) -> Optional[Fraction]:
+        """The antilog ``prod p**q_p`` as an exact fraction if every q_p is an
+        integer and ``sum |q_p| * log2 p`` is within _ANTILOG_BITS_CAP, else None."""
+        # the first test also keeps the float sum below from overflowing
+        if any(q.denominator != 1 or abs(q) > _ANTILOG_BITS_CAP for q in self._terms.values()) or (
             sum(abs(q) * math.log2(p) for p, q in self._terms.items()) > _ANTILOG_BITS_CAP
         ):
-            raise ValueError(f"antilog of {self!r} exceeds 2**{_ANTILOG_BITS_CAP}")
+            return None
+        return math.prod((Fraction(p) ** q.numerator for p, q in self._terms.items()), start=Fraction(1))
 
     def _refine(self, decide: Callable[[int], Optional[_T]], what: str) -> _T:
         """First non-None ``decide(prec)`` at doubling precision; None means
@@ -371,30 +372,31 @@ class LogLinear:
         """
         if any(q.denominator != 1 or q < 0 for q in self._terms.values()):
             return None
-        self._check_antilog_bits()
-        return math.prod(p ** q.numerator for p, q in self._terms.items())
+        return self.as_log_fraction().numerator
 
     def as_log_fraction(self) -> Optional[Fraction]:
         """Return ``x`` as an exact fraction iff the value is ``log x`` with
         ``x`` rational, i.e. iff every coefficient is an integer."""
         if any(q.denominator != 1 for q in self._terms.values()):
             return None
-        self._check_antilog_bits()
-        return math.prod((Fraction(p) ** q.numerator for p, q in self._terms.items()), start=Fraction(1))
+        if (x := self._exact_antilog()) is None:
+            raise ValueError(f"antilog of {self!r} exceeds 2**{_ANTILOG_BITS_CAP}")
+        return x
 
     def pow2_ceil(self) -> int:
         """Ceiling of the antilog ``prod p**q_p`` of a nonnegative value.
 
-        A natural antilog is computed exactly.  Any other is no integer (a
-        negative or fractional exponent survives unique factorization), so
-        interval refinement resolves the ceiling unless the antilog lies too
-        close to an integer for the precision cap, which raises
+        A rational antilog within the exact-power cap is computed exactly.
+        Any other is no integer (a negative or fractional exponent survives
+        unique factorization; a natural past that cap is past the
+        enclosure's), so interval refinement resolves the ceiling unless it
+        lies too close to an integer for the precision cap, which raises
         :class:`PrecisionExhausted`.
         """
         if self.sign() == Sign.NEGATIVE:
             raise ValueError("ceiling of an antilog below 1 requested on a negative value")
-        if (m := self.as_log_natural()) is not None:
-            return m
+        if (x := self._exact_antilog()) is not None:
+            return math.ceil(x)
 
         def decide(prec: int) -> Optional[int]:
             lo, hi = self._enclosure(prec, antilog=True)
@@ -417,7 +419,7 @@ class LogLinear:
             if all(p == 2 for p in self._terms):
                 exact = self._terms.get(2, Fraction(0))
         elif kind == "exp":
-            exact = self.as_log_fraction()
+            exact = self._exact_antilog()
         else:
             raise ValueError(f"unknown display kind {kind!r}")
 

@@ -11,12 +11,14 @@ The search is a depth-first walk over the grid cells in lexicographic
 order that decides, cell by cell, to include the cell as a support point
 or to leave it empty.  The walk is one loop over an explicit stack with
 one entry per cell, so the grid size sets no recursion limit.  A fiber is
-one value of one subset's projection; every fiber of every subset has one
-id, and flat arrays indexed by it hold the points placed in the fiber and
-the cells still ahead of the frontier.
-Each cell lists its ``(subset, fiber id)`` pairs once, at engine build, so
-one decision touches ``2**n - 1`` array slots.  Three families of pruning
-rules run on these counters:
+one value of one proper subset's projection (the full set's fibers are
+single cells, whose rules reduce to a count of the cells left); flat
+arrays indexed by fiber id hold the points placed in each fiber and the
+cells still ahead of the frontier.  Each cell's ``(subset, fiber id)``
+pairs are tabulated when the walk first reaches it, so one decision
+touches ``2**n - 2`` array slots, and a run of N nodes tabulates at most
+``max(2N, 1024)`` cells.  Three families of pruning rules run on these
+counters:
 
 * overflow - a fiber may never exceed its quota, and a subset may never
   realize more distinct values than its target;
@@ -49,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
@@ -229,15 +232,19 @@ class SearchOutcome:
 class _Engine:
     """Depth-first placement over grid cells with incremental fiber counts.
 
-    A fiber is one value of one subset's projection.  All fibers share the
-    flat ``counts`` and ``future`` arrays, indexed by a fiber id (the
-    subset's offset plus the mixed-radix value of its coordinates), and
-    each cell carries the tuple of its ``(subset, fiber id)`` pairs.  Its
+    The fibers of the proper subsets share the flat ``counts`` and
+    ``future`` arrays, indexed by fiber id, and each cell carries the tuple
+    of its ``(subset, fiber id)`` pairs, singletons first.  The full set's
+    fibers hold no slot: their one live rule, enough cells left for the
+    points still needed, is a count in :meth:`_advance`.  A cell's
     ``fd_checks`` tuple holds one ``(base fiber, joint fiber)`` pair per
     functional dependence hint: including the cell needs the joint fiber
-    realized whenever the base fiber is.  Without hints the tuples are
-    empty, so hinted and plain runs take the same path.  :meth:`run` walks
-    the tree in one loop; ``_try_include``/``_undo_include`` and
+    realized whenever the base fiber is.  A hint joint to the full set is
+    dropped, as its base has quota 1 and the overflow rule already rejects
+    those placements.  Without hints the tuples are empty, so hinted and
+    plain runs take the same path.  :meth:`_extend` builds the per-cell
+    tables in doubling chunks as the frontier reaches them.  :meth:`run`
+    walks the tree in one loop; ``_try_include``/``_undo_include`` and
     ``_advance``/``_retreat`` are the two branches of a cell and their undo.
     """
 
@@ -245,61 +252,64 @@ class _Engine:
         self.n = spec.n
         self.sizes = sizes = spec.alphabet_sizes()
         self.m_total = spec.total
-        subsets = canonical_order(spec.n)
-        self.cells: list[tuple[int, ...]] = list(itertools.product(*[range(s) for s in sizes]))
-        self.ncells = ncells = len(self.cells)
+        self.ncells = math.prod(sizes)
+        subsets = canonical_order(spec.n)[:-1]
 
-        # fiber id = offset of the subset + sum of coord * stride
-        strides: list[list[tuple[int, int]]] = []
-        nvals = []
+        # a cell's fiber id in subset a is a's offset plus the mixed-radix
+        # value of the cell's coordinates in a; per variable, the part of the
+        # id that each of its values gives (stride 0 outside a)
+        self.id_parts, nvals = [], []
         for a in subsets:
-            acc = 1
-            strides.append([])
+            strides, nv = [0] * self.n, 1
             for i in sorted(a, reverse=True):
-                strides[-1].append((i - 1, acc))
-                acc *= sizes[i - 1]
-            nvals.append(acc)
+                strides[i - 1], nv = nv, nv * sizes[i - 1]
+            self.id_parts.append([(sum(nvals),)] + [[x * w for x in range(s)] for s, w in zip(sizes, strides)])
+            nvals.append(nv)
         offset = list(itertools.accumulate(nvals, initial=0))
-        columns = list(zip(*self.cells))
-        fiber_columns = []
-        for a, subset_strides in enumerate(strides):
-            col = [offset[a]] * ncells
-            for i, s in subset_strides:
-                col = [f + x * s for f, x in zip(col, columns[i])]
-            fiber_columns.append(zip(itertools.repeat(a), col))
-        self.cell_fibers: list[tuple[tuple[int, int], ...]] = list(zip(*fiber_columns))
 
         # per subset: points per realized fiber, fibers to realize, fibers
         # realized so far and empty fibers that can still reach the quota
         self.quota = [self.m_total // spec.m[a] for a in subsets]
         self.target = [spec.m[a] for a in subsets]
         self.realized = [0] * len(subsets)
-        self.openable = []
+        self.openable = [nv if self.ncells // nv >= q else 0 for nv, q in zip(nvals, self.quota)]
         # per fiber: points placed and cells not yet decided
         self.counts = [0] * offset[-1]
-        self.future = []
-        for a, nv in enumerate(nvals):
-            grid_fiber = ncells // nv
-            self.future += [grid_fiber] * nv
-            self.openable.append(nv if grid_fiber >= self.quota[a] else 0)
-        self.maxused = [-1] * self.n
+        self.future = list(itertools.chain.from_iterable([self.ncells // nv] * nv for nv in nvals))
+        # per variable: the highest singleton fiber id used so far
+        self.maxused = [offset[i] - 1 for i in range(self.n)]
         self.chosen: list[int] = []
         sub_index = {a: k for k, a in enumerate(subsets)}
-        fd = [(sub_index[h.base], sub_index[h.base | h.extension]) for h in hints]
-        self.fd_checks: list[tuple[tuple[int, int], ...]] = [()] * ncells
-        if fd:
-            self.fd_checks = [tuple((fibers[b][1], fibers[j][1]) for b, j in fd) for fibers in self.cell_fibers]
-
+        joints = [(h.base, h.base | h.extension) for h in hints]
+        self.fd = [(sub_index[base], sub_index[joint]) for base, joint in joints if joint in sub_index]
+        self.cell_fibers: list[tuple[tuple[int, int], ...]] = []
+        self.fd_checks: list[tuple[tuple[int, int], ...]] = []
         self.nodes = 0
+
+    def _extend(self) -> int:
+        """Tabulate the next chunk of cells, as many again as are built (at
+        least 1024, at most to the end of the grid); returns the cells built."""
+        lo = len(self.cell_fibers)
+        hi = min(max(2 * lo, 1024), self.ncells)
+        # the product runs over the cells in grid order
+        ids = [zip(itertools.repeat(k), map(sum, itertools.islice(itertools.product(*parts), lo, hi)))
+               for k, parts in enumerate(self.id_parts)]
+        # with n = 1 there is no proper subset, and a cell has no fiber
+        chunk = list(zip(*ids)) or [()] * (hi - lo)
+        self.cell_fibers += chunk
+        fd = self.fd
+        self.fd_checks += [tuple((fb[b][1], fb[j][1]) for b, j in fd) for fb in chunk] if fd else [()] * len(chunk)
+        return len(self.cell_fibers)
 
     # -- frontier advance past an excluded cell ------------------------------
 
     def _advance(self, ci: int) -> bool:
         """Move the frontier past cell ci, left empty; returns False when
-        some fiber becomes impossible to finish.  Mutations are applied in
-        full either way so that _retreat restores the state exactly."""
+        some fiber becomes impossible to finish or too few cells are left
+        for the points still needed.  Mutations are applied in full either
+        way so that _retreat restores the state exactly."""
         counts, future, quota = self.counts, self.future, self.quota
-        ok = True
+        ok = self.ncells - ci - 1 >= self.m_total - len(self.chosen)
         for a, f in self.cell_fibers[ci]:
             fu = future[f] - 1
             future[f] = fu
@@ -330,14 +340,16 @@ class _Engine:
         data), or None if the placement is rejected; rejected placements
         leave no state change."""
         maxused = self.maxused
+        fibers = self.cell_fibers[ci]
         bumps: tuple[int, ...] = ()
-        for i, x in enumerate(self.cells[ci]):
-            if x > maxused[i]:
-                if x > maxused[i] + 1:
+        # singleton i has subset index i; with n = 1 there is none, and the
+        # one spec, every cell in the support, needs no relabeling rule
+        for i, f in fibers[: self.n]:
+            if f > maxused[i]:
+                if f > maxused[i] + 1:
                     return None
                 bumps += (i,)
         counts, quota, realized, target = self.counts, self.quota, self.realized, self.target
-        fibers = self.cell_fibers[ci]
         for a, f in fibers:
             c = counts[f]
             if c >= quota[a] or not c and realized[a] >= target[a]:
@@ -346,9 +358,9 @@ class _Engine:
             if counts[base] and not counts[joint]:
                 return None
 
-        # place the point and move the frontier in one pass: a fiber holding
-        # the point is never empty, so of _advance's rules only the capacity
-        # rule applies
+        # place the point and move the frontier in one pass: the point is one
+        # of those still needed and its fibers are not empty, so of
+        # _advance's rules only the capacity rule applies
         future, openable = self.future, self.openable
         ok = True
         for a, f in fibers:
@@ -392,16 +404,18 @@ class _Engine:
         """Explore every completion of the start state, cell 0 first, and
         return the verdict with the support found, if any.
 
-        The walk keeps its stack in ``branch``: the depth is the cell index,
-        and ``branch[ci]`` holds the undo bumps of the placement at cell ci
-        being explored, or None once only the empty branch is left there.
-        Each cell tries the placement before leaving the cell empty.  One
-        node is counted per visited state; the budget is checked at each
-        count and the clock every 2048 nodes."""
-        ncells, m_total, chosen = self.ncells, self.m_total, self.chosen
+        ``branch`` is the stack, one entry per cell before the frontier ci:
+        the undo bumps of the placement being explored there, or None once
+        only the empty branch is left.  Each cell tries the placement before
+        leaving the cell empty.  One node is counted per visited state; the
+        budget is checked at each count and the clock every 2048 nodes.  A
+        node moves the frontier by at most one cell, so N nodes reach no
+        cell past N - 1, and a cell's tables are built when it is reached."""
+        m_total, chosen = self.m_total, self.chosen
         try_include, undo_include = self._try_include, self._undo_include
         advance, retreat, clock = self._advance, self._retreat, time.monotonic
-        branch: list[Optional[tuple[int, ...]]] = [None] * ncells
+        branch: list[Optional[tuple[int, ...]]] = []
+        built = len(self.cell_fibers)
         nodes = self.nodes
         ci = 0
         while True:
@@ -410,39 +424,41 @@ class _Engine:
             if nodes > max_nodes or not nodes % 2048 and clock() > deadline:
                 self.nodes = nodes
                 return SearchStatus.BUDGET_EXCEEDED, None
-            need = m_total - len(chosen)
-            if not need:
+            if len(chosen) == m_total:
                 # quota accounting makes any full placement a valid support
                 self.nodes = nodes
                 return SearchStatus.FOUND, list(chosen)
-            if ncells - ci >= need:
-                bumps = try_include(ci)
-                if bumps is None and not advance(ci):
-                    retreat(ci)
-                else:
-                    branch[ci] = bumps
-                    ci += 1
-                    continue
+            # _advance keeps a cell for every point still needed, so the
+            # frontier is still inside the grid
+            if ci == built:
+                built = self._extend()
+            bumps = try_include(ci)
+            if bumps is not None or advance(ci):
+                branch.append(bumps)
+                ci += 1
+                continue
+            retreat(ci)
             # the subtree is done: back up to the deepest cell with a branch left
             while True:
-                ci -= 1
-                if ci < 0:
+                if not branch:
                     self.nodes = nodes
                     return SearchStatus.EXHAUSTED_INFEASIBLE, None
-                bumps = branch[ci]
+                ci -= 1
+                bumps = branch.pop()
                 if bumps is None:
                     retreat(ci)
                     continue
                 undo_include(ci, bumps)
                 if advance(ci):
-                    branch[ci] = None
+                    branch.append(None)
                     ci += 1
                     break
                 retreat(ci)
 
     def pmf_from_support(self, support: Sequence[int]) -> JointPMF:
         p = Fraction(1, self.m_total)
-        return JointPMF(self.sizes, {self.cells[ci]: p for ci in support})
+        radix = [(math.prod(self.sizes[i + 1:]), s) for i, s in enumerate(self.sizes)]  # last variable fastest
+        return JointPMF(self.sizes, dict.fromkeys(zip(*[[ci // d % s for ci in support] for d, s in radix]), p))
 
 
 def _check_hints(spec: SupportSpec, hints: Sequence[FunctionalDependence]) -> None:
@@ -497,34 +513,15 @@ def brute_force_oracle(spec: SupportSpec, cap: int = 24) -> SearchOutcome:
         return SearchOutcome(SearchStatus.EXHAUSTED_INFEASIBLE, None, 0, time.monotonic() - start)
 
     cells = list(itertools.product(*[range(s) for s in sizes]))
-    sub_vars = [sorted(a) for a in order]
-    pid = []
-    nvals = []
-    for sv in sub_vars:
-        table = []
-        for cell in cells:
-            vid = 0
-            for i in sv:
-                vid = vid * sizes[i - 1] + cell[i - 1]
-            table.append(vid)
-        pid.append(table)
-        nvals.append(math.prod(sizes[i - 1] for i in sv))
-    target = [spec.m[a] for a in order]
-
+    # per subset: each cell's projection, and the number of values to hit
+    projections = [([tuple(cell[i - 1] for i in sorted(a)) for cell in cells], spec.m[a]) for a in order]
     examined = 0
     for combo in itertools.combinations(range(grid), total):
         examined += 1
-        good = True
-        for a in range(len(order)):
-            counts: dict[int, int] = {}
-            row = pid[a]
-            for ci in combo:
-                counts[row[ci]] = counts.get(row[ci], 0) + 1
-            values = set(counts.values())
-            if len(counts) != target[a] or len(values) != 1:
-                good = False
-                break
-        if good:
+        if all(
+            len(counts := Counter(row[ci] for ci in combo)) == target and len(set(counts.values())) == 1
+            for row, target in projections
+        ):
             p = Fraction(1, total)
             pmf = JointPMF(sizes, {cells[ci]: p for ci in combo})
             return SearchOutcome(SearchStatus.FOUND, pmf, examined, time.monotonic() - start)

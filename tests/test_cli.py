@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -34,11 +35,11 @@ def run(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
-def run_subprocess(*argv, timeout=30):
+def run_subprocess(*argv, timeout=30, **kwargs):
     """Run a fresh interpreter with ``argv``, importing this checkout's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
 
 
 class TestVectorFiles:
@@ -237,6 +238,22 @@ class TestSearchCommand:
         assert code == 0
         assert (report["status"], report["nodes_explored"]) == ("found", 1001)
 
+    def test_node_budget_bounds_the_build(self):
+        # 8,000,000 cells: the cell tables are built only as far as the walk
+        # reaches, so ten nodes fit in 1 GiB of address space
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.monotonic()
+        proc = run_subprocess(
+            "-m", "entrocone.cli", "search", fx("spec_large_grid.json"), "--budget-nodes", "10",
+            preexec_fn=limit_memory,
+        )
+        assert time.monotonic() - start < 2
+        assert proc.returncode == EX_INCONCLUSIVE, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["status"], report["nodes_explored"]) == ("budget_exceeded", 11)
+
     def test_deterministic_repeat_is_byte_identical(self, capsys):
         code1 = main(["search", fx("spec_f.json"), "--budget-seconds", "60"])
         out1 = capsys.readouterr().out
@@ -337,7 +354,7 @@ class TestExitCodes:
         assert "antilog" in proc.stderr and proc.stdout == ""
 
     def test_antilog_near_one_is_a_verdict(self, tmp_path, capsys):
-        # lambda = 24727 log 2 - 15601 log 3 has an antilog of about 1.000006:
+        # lambda = 24727 log 2 - 15601 log 3 has an antilog of about 1.000018:
         # its exact power is past the cap, its ceiling (2) is not
         coords = [{"log_terms": {"2": f"{24727 * k}/1", "3": f"{-15601 * k}/1"}} for k in (1, 1, 1, 2, 2, 2, 2)]
         vec = tmp_path / "near_one.vec"

@@ -1,5 +1,6 @@
 import decimal
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -450,10 +451,23 @@ class TestAntilogCap:
             LogLinear({3: -9000}).as_log_fraction()
 
     def test_ceiling_near_one_with_large_coefficients(self):
-        # the exact power is far past the cap, the magnitude (about 8.6e-6
+        # the exact power is far past the cap, the magnitude (about 2.6e-5
         # bits) is not, and the antilog is no integer
         lam = LogLinear({2: 24727, 3: -15601})
         assert lam.pow2_ceil() == ceil_root_oracle(lam) == 2
+
+    def test_display_near_one_with_large_coefficients(self):
+        # the same value: its antilog lies in (1.0000175, 1.0000185), checked
+        # on integers, and its display comes from the enclosure
+        assert 10_000_175 * 3**15601 < 10**7 * 2**24727 < 10_000_185 * 3**15601
+        assert LogLinear({2: 24727, 3: -15601}).approx_exp(6) == "1.000018"
+
+    def test_rational_ceiling_near_the_cap_is_exact(self):
+        # 2**13990 / 3 is within the exact-power cap; an enclosure fine
+        # enough to separate it from its ceiling needs about 2**14 bits
+        start = time.monotonic()
+        assert LogLinear({2: 13990, 3: -1}).pow2_ceil() == -(-(2**13990) // 3)
+        assert time.monotonic() - start < 1
 
     def test_integrality_is_decided_before_the_cap(self):
         huge = LogLinear({2: Fraction(10**12, 7)})

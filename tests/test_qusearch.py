@@ -186,12 +186,18 @@ class TestSearch:
         assert (outcome.status, outcome.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 2)
 
     def test_deep_grid(self):
-        # 1,000 cells, all of them in the support: the walk goes as deep as
-        # the grid, one node per cell and one for the full placement
-        spec = mkspec(3, [10, 10, 10, 100, 100, 100, 1000])
-        outcome = search(spec, budget=Budget(max_nodes=5_000, max_seconds=60))
-        assert outcome.nodes_explored == 1_001
-        assert_realizes(outcome, spec)
+        # k**3 cells, all of them in the support: the walk goes as deep as
+        # the grid, one node per cell and one for the full placement; past
+        # 1,024 cells it crosses the boundaries of the cell tables' chunks
+        for k in (10, 12, 33):
+            spec = mkspec(3, [k, k, k, k * k, k * k, k * k, k**3])
+            outcome = search(spec, budget=Budget(max_nodes=50_000, max_seconds=60))
+            assert outcome.nodes_explored == k**3 + 1
+            # k**3 points on k**3 cells are the whole grid, which realizes
+            # the spec; the slower entropy check runs on the smaller grids
+            assert sorted(outcome.pmf.mass) == list(itertools.product(range(k), repeat=3))
+            if k < 33:
+                assert_realizes(outcome, spec)
 
     @pytest.mark.parametrize("left,right", [
         ([2, 2, 2, 4, 4, 4, 4], [3, 3, 3, 9, 9, 9, 18]),
