@@ -8,8 +8,9 @@ fixtures shipped in `entrocone/fixtures` and all nine commands:
 - `gamma`, `spec`, `inner theta` and `inner omega` on every vector;
 - `decompose` and `face` on every vector over eight faces;
 - `entropy` and `qu-check` on every PMF;
-- `search` on both spec fixtures at a small node budget, and on the
-  8,000,000-cell `spec_large_grid.json` at 10 nodes;
+- `search` on both spec fixtures at a node budget too small for the orbit
+  phase, on the candidate at one that lets the orbit phase find it, and
+  on the 8,000,000-cell `spec_large_grid.json` at 10 nodes;
 - `catalog`.
 
 For each run one line gives the argv (fixtures by file name), the exit
@@ -49,6 +50,7 @@ FACES = (
     "1,2,3,12,13,23,123",
 )
 SEARCH_NODES = "2000"
+ORBIT_NODES = "4000"
 
 
 def matrix() -> list[list[str]]:
@@ -59,6 +61,7 @@ def matrix() -> list[list[str]]:
         runs += [[cmd, vec, face] for cmd in ("decompose", "face") for face in FACES]
     runs += [[cmd, pmf] for pmf in PMFS for cmd in ("entropy", "qu-check")]
     runs += [["search", spec, "--budget-nodes", SEARCH_NODES] for spec in SPECS]
+    runs.append(["search", "spec_omega_candidate.json", "--budget-nodes", ORBIT_NODES])
     runs.append(["search", "spec_large_grid.json", "--budget-nodes", "10"])
     runs.append(["catalog"])
     return runs

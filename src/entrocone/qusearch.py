@@ -7,40 +7,60 @@ exactly ``m_alpha`` distinct values, each with exactly
 ``m_[n] / m_alpha`` preimages in S.  The joint distribution is then
 uniform on S and every marginal is constant on its support.
 
-The search is a depth-first walk over the grid cells in lexicographic
-order that decides, cell by cell, to include the cell as a support point
-or to leave it empty.  The walk is one loop over an explicit stack with
-one entry per cell, so the grid size sets no recursion limit.  A fiber is
-one value of one proper subset's projection (the full set's fibers are
-single cells, whose rules reduce to a count of the cells left); flat
-arrays indexed by fiber id hold the points placed in each fiber and the
-cells still ahead of the frontier.  Each cell's ``(subset, fiber id)``
-pairs are tabulated when the walk first reaches it, so one decision
-touches ``2**n - 2`` array slots, and a run of N nodes tabulates at most
-``max(2N, 1024)`` cells.  Three families of pruning rules run on these
-counters:
+The search is a depth-first walk over decision blocks in a fixed order
+that decides, block by block, to include the block in the support or to
+leave it empty.  A block is one grid cell, or one orbit of the diagonal
+shift ``g: x -> x + (1,..,1) mod (m_1,..,m_n)``.  :func:`search` runs in
+three fixed steps, counted in nodes so that results are deterministic:
+
+1. the walk over cells, in lexicographic order, for up to 2,048 nodes;
+2. if still undecided, the orbit phase, a walk over the orbits of g, for up
+   to 2,048 nodes; it searches only supports invariant under g;
+3. if that finds nothing, the walk over cells resumes where it stopped,
+   on what is left of the budget.
+
+Only FOUND ends the search in the orbit phase.  An exhausted orbit walk
+means only that no support is invariant under g, never that the spec is
+infeasible, so it is not reported.
+
+The walk is one loop over an explicit stack with one entry per block, so
+the grid size sets no recursion limit.  A fiber is one value of one proper
+subset's projection (the full set's fibers are single cells, whose rules
+reduce to a count of the blocks left); flat arrays indexed by fiber slot
+hold the points placed in each fiber and the points still ahead of the
+frontier.  An orbit puts the same number of points in each fiber of a
+subset that it meets, so fibers are counted in units of that number and
+both kinds of block share every rule.  Each block's ``(subset, slot)``
+pairs are tabulated, and fiber slots given out, when the walk first
+reaches the block, so a run of N nodes tabulates at most ``max(2N, 1024)``
+cells or the orbits of as many cells.  Three families of pruning rules run
+on these counters:
 
 * overflow - a fiber may never exceed its quota, and a subset may never
   realize more distinct values than its target;
-* completion - a realized fiber must still have enough cells ahead of the
+* completion - a realized fiber must still have enough points ahead of the
   frontier to reach its quota, and enough fresh values (with full quota
   still available ahead) must remain to reach the target count;
-* structure - optional hints: an extension of a group of variables that
-  leaves its target size unchanged forces a functional dependence, so a
-  point may join a realized fiber of the group only inside the one joint
-  fiber already realized there.  Only the dependences that
-  :func:`structural_hints` finds in the target are accepted, since any
-  other hint could prune every realization.  Hints become per-cell tuples
-  of fiber ids checked on the same arrays; they are empty without hints,
-  so hinted and plain runs share one code path.
+* structure - optional hints, for the walk over cells: an extension of a
+  group of variables that leaves its target size unchanged forces a
+  functional dependence, so a point may join a realized fiber of the
+  group only inside the one joint fiber already realized there.  Only the
+  dependences that :func:`structural_hints` finds in the target are
+  accepted, since any other hint could prune every realization.  Hints
+  become per-cell tuples of fiber slots checked on the same arrays; they
+  are empty without hints, so hinted and plain runs share one code path.
 
-Symmetry is broken by canonical relabeling: each variable's symbols must
-appear in increasing order of first use along the placement order.  Every
-support set is relabel-equivalent to one satisfying this rule, so the
-rule is sound; it removes the ``prod_i m_i!`` relabeling factor.
+The walk over cells breaks symmetry by canonical relabeling: each
+variable's symbols must appear in increasing order of first use along the
+placement order.  Every support set is relabel-equivalent to one
+satisfying this rule, so the rule is sound; it removes the
+``prod_i m_i!`` relabeling factor.  The rule is off in the orbit phase: a
+relabeled invariant support is invariant under a conjugate of g, not
+under g, so the rule could cut every invariant support.  Orbit witnesses
+are therefore not relabel-canonical.
 
-One walk decides each spec, so the same spec, hints and budget always give
-the same outcome, node count and witness.
+The same spec, hints and budget always give the same outcome, node count
+and witness.
 
 An oracle that enumerates every support of the right size (for small
 grids) provides an independent ground truth for validating the search.
@@ -227,90 +247,161 @@ class SearchOutcome:
     pmf: Optional[JointPMF]
     nodes_explored: int
     elapsed: float
+    orbit_nodes: int = 0
+
+
+# plain nodes before the orbit phase, and the orbit phase's node allowance
+_PHASE_NODES = 2048
+# cells in the first chunk of block tables; an orbit of more cells is not tried
+_CHUNK = 1024
 
 
 class _Engine:
-    """Depth-first placement over grid cells with incremental fiber counts.
+    """Depth-first placement over decision blocks with incremental fiber counts.
+
+    A block is one grid cell or, with ``orbits``, one orbit of the diagonal
+    shift g.  Every orbit has ``L = lcm(m_i)`` cells ``first + t*(1,..,1)``,
+    ``t < L``, and puts ``L / lcm_{i in a} m_i`` points, the subset's
+    weight, in each of the ``lcm_{i in a} m_i`` fibers of subset a that it
+    meets.  Fibers are counted in units of the weight, so a block adds one
+    to each fiber it meets, as a cell does.  Blocks are numbered in the grid
+    order of their first cell, whose coordinates for an orbit are
+    ``x_i < gcd(lcm(m_1..m_{i-1}), m_i)``.
 
     The fibers of the proper subsets share the flat ``counts`` and
-    ``future`` arrays, indexed by fiber id, and each cell carries the tuple
-    of its ``(subset, fiber id)`` pairs, singletons first.  The full set's
-    fibers hold no slot: their one live rule, enough cells left for the
-    points still needed, is a count in :meth:`_advance`.  A cell's
-    ``fd_checks`` tuple holds one ``(base fiber, joint fiber)`` pair per
-    functional dependence hint: including the cell needs the joint fiber
-    realized whenever the base fiber is.  A hint joint to the full set is
-    dropped, as its base has quota 1 and the overflow rule already rejects
-    those placements.  Without hints the tuples are empty, so hinted and
-    plain runs take the same path.  :meth:`_extend` builds the per-cell
-    tables in doubling chunks as the frontier reaches them.  :meth:`run`
-    walks the tree in one loop; ``_try_include``/``_undo_include`` and
-    ``_advance``/``_retreat`` are the two branches of a cell and their undo.
+    ``future`` arrays, indexed by slot, and each block carries the tuple of
+    its ``(subset, slot)`` pairs, singletons first for a cell.  A cell's
+    fiber in subset k has slot ``k + nsub * id``, where id, the mixed-radix
+    value of the cell's coordinates in the subset, is at most the cell's
+    index; an orbit meets fibers all over the grid, so each takes the next
+    free slot when first met.  The full set's fibers hold no slot: their one
+    live rule, enough blocks left for the points still needed, is a count in
+    :meth:`_advance`.  A cell's ``fd_checks`` tuple holds one
+    ``(base slot, joint slot)`` pair per functional dependence hint:
+    including the cell needs the joint fiber realized whenever the base
+    fiber is.  A hint joint to the full set is dropped, as its base has
+    quota 1 and the overflow rule already rejects those placements.
+    :meth:`_extend` builds the per-block tables and slots in doubling chunks
+    as the frontier reaches them.  :meth:`run` walks the tree in one loop
+    and resumes a walk that it stopped at its node limit;
+    ``_try_include``/``_undo_include`` and ``_advance``/``_retreat`` are the
+    two branches of a block and their undo.
     """
 
-    def __init__(self, spec: SupportSpec, hints: Sequence[FunctionalDependence] = ()):
-        self.n = spec.n
+    def __init__(self, spec: SupportSpec, hints: Sequence[FunctionalDependence] = (), orbits: bool = False):
+        self.n = n = spec.n
         self.sizes = sizes = spec.alphabet_sizes()
         self.m_total = spec.total
-        self.ncells = math.prod(sizes)
-        subsets = canonical_order(spec.n)[:-1]
+        ncells = math.prod(sizes)
+        subsets = canonical_order(n)[:-1]
+        self.nsub = nsub = len(subsets)
+        self.blen = math.lcm(*sizes) if orbits else 1
+        radix = [math.gcd(math.lcm(*sizes[:i]), s) for i, s in enumerate(sizes)] if orbits else sizes
+        # divisor and radix of each coordinate of a block's first cell
+        self.radix = [(math.prod(radix[i + 1:]), r) for i, r in enumerate(radix)]
+        self.nblocks = ncells // self.blen
+        self.need = self.m_total // self.blen
 
-        # a cell's fiber id in subset a is a's offset plus the mixed-radix
-        # value of the cell's coordinates in a; per variable, the part of the
-        # id that each of its values gives (stride 0 outside a)
-        self.id_parts, nvals = [], []
+        # per subset: each variable's stride in the fiber slots (0 outside
+        # the subset), the fibers a block meets and its points in each
+        self.strides, nvals = [], []
         for a in subsets:
-            strides, nv = [0] * self.n, 1
+            strides, nv = [0] * n, 1
             for i in sorted(a, reverse=True):
-                strides[i - 1], nv = nv, nv * sizes[i - 1]
-            self.id_parts.append([(sum(nvals),)] + [[x * w for x in range(s)] for s, w in zip(sizes, strides)])
+                strides[i - 1], nv = nv * nsub, nv * sizes[i - 1]
+            self.strides.append(strides)
             nvals.append(nv)
-        offset = list(itertools.accumulate(nvals, initial=0))
-
-        # per subset: points per realized fiber, fibers to realize, fibers
-        # realized so far and empty fibers that can still reach the quota
-        self.quota = [self.m_total // spec.m[a] for a in subsets]
+        self.span = [math.lcm(*(sizes[i - 1] for i in a)) if orbits else 1 for a in subsets]
+        weight = [self.blen // s for s in self.span]
+        quota = [self.m_total // spec.m[a] for a in subsets]
+        self.divisible = all(q % w == 0 for q, w in zip(quota, weight))
+        # per subset, in units: points per realized fiber, fibers to realize,
+        # fibers realized so far, points per fiber and empty fibers that can
+        # still reach the quota
+        self.quota = [q // w for q, w in zip(quota, weight)]
         self.target = [spec.m[a] for a in subsets]
-        self.realized = [0] * len(subsets)
-        self.openable = [nv if self.ncells // nv >= q else 0 for nv, q in zip(nvals, self.quota)]
-        # per fiber: points placed and cells not yet decided
-        self.counts = [0] * offset[-1]
-        self.future = list(itertools.chain.from_iterable([self.ncells // nv] * nv for nv in nvals))
-        # per variable: the highest singleton fiber id used so far
-        self.maxused = [offset[i] - 1 for i in range(self.n)]
+        self.realized = [0] * nsub
+        self.fiber_units = [ncells // nv // w for nv, w in zip(nvals, weight)]
+        self.openable = [nv if fu >= q else 0 for nv, fu, q in zip(nvals, self.fiber_units, self.quota)]
+        # per slot: units placed and units in blocks not yet decided
+        self.counts: list[int] = []
+        self.future: list[int] = []
+        # orbits: the (subset, slot) pair of each fiber met, by its cell slot
+        self.slots: dict[int, tuple[int, int]] = {}
+        # the relabeling rule runs on cells only; per variable, the slot of
+        # the last symbol used so far
+        self.relabel = 0 if orbits else n
+        self.maxused = [i - nsub for i in range(n)]
         self.chosen: list[int] = []
         sub_index = {a: k for k, a in enumerate(subsets)}
         joints = [(h.base, h.base | h.extension) for h in hints]
         self.fd = [(sub_index[base], sub_index[joint]) for base, joint in joints if joint in sub_index]
-        self.cell_fibers: list[tuple[tuple[int, int], ...]] = []
+        self.block_fibers: list[tuple[tuple[int, int], ...]] = []
         self.fd_checks: list[tuple[tuple[int, int], ...]] = []
+        # the walk: nodes visited, the frontier and the branch stack
         self.nodes = 0
+        self.ci = 0
+        self.branch: list[Optional[tuple[int, ...]]] = []
+
+    def viable(self, max_nodes: int) -> bool:
+        """Whether a run of max_nodes nodes can find a support: every quota
+        is a whole number of units, the walk places at most one block per
+        node and needs one more node to see the full placement, and a block
+        has at most _CHUNK cells, which bounds the work of a node."""
+        return self.divisible and self.need < max_nodes and self.blen <= _CHUNK
 
     def _extend(self) -> int:
-        """Tabulate the next chunk of cells, as many again as are built (at
-        least 1024, at most to the end of the grid); returns the cells built."""
-        lo = len(self.cell_fibers)
-        hi = min(max(2 * lo, 1024), self.ncells)
-        # the product runs over the cells in grid order
-        ids = [zip(itertools.repeat(k), map(sum, itertools.islice(itertools.product(*parts), lo, hi)))
-               for k, parts in enumerate(self.id_parts)]
-        # with n = 1 there is no proper subset, and a cell has no fiber
-        chunk = list(zip(*ids)) or [()] * (hi - lo)
-        self.cell_fibers += chunk
+        """Tabulate the next chunk of blocks, as many again as are built (at
+        least _CHUNK cells and one block, at most to the end of the grid);
+        returns the blocks built."""
+        lo = len(self.block_fibers)
+        hi = min(max(2 * lo, _CHUNK // self.blen, 1), self.nblocks)
+        if self.blen == 1:
+            # the cells before hi are the first ones of the box of values
+            # x_i < ceil(hi / d_i), which the product runs over in grid order
+            values = [range(min(r, -(-hi // d))) for d, r in self.radix]
+            columns = [
+                zip(itertools.repeat(k), map(sum, itertools.islice(
+                    itertools.product((k,), *[[x * w for x in xs] for xs, w in zip(values, strides)]), lo, hi)))
+                for k, strides in enumerate(self.strides)
+            ]
+            # no cell of the chunk has a slot at or past hi * nsub
+            self.counts += [0] * (self.nsub * (hi - lo))
+            self.future += self.fiber_units * (hi - lo)
+        else:
+            firsts = [[b // d % r for b in range(lo, hi)] for d, r in self.radix]
+            slots, columns = self.slots, []
+            for t in range(max(self.span, default=0)):
+                # per variable, the coordinates of each orbit's cell first + t*(1,..,1)
+                cells = [[(x + t) % s for x in xs] for xs, s in zip(firsts, self.sizes)]
+                for k, strides in enumerate(self.strides):
+                    if t < self.span[k]:
+                        column = []
+                        for f in map(sum, zip(itertools.repeat(k), *[[x * w for x in xs] for xs, w in zip(cells, strides)])):
+                            pair = slots.get(f)
+                            if pair is None:
+                                pair = slots[f] = (k, len(self.counts))
+                                self.counts.append(0)
+                                self.future.append(self.fiber_units[k])
+                            column.append(pair)
+                        columns.append(column)
+        # with n = 1 there is no proper subset, and a block has no fiber
+        chunk = list(zip(*columns)) or [()] * (hi - lo)
+        self.block_fibers += chunk
         fd = self.fd
         self.fd_checks += [tuple((fb[b][1], fb[j][1]) for b, j in fd) for fb in chunk] if fd else [()] * len(chunk)
-        return len(self.cell_fibers)
+        return len(self.block_fibers)
 
-    # -- frontier advance past an excluded cell ------------------------------
+    # -- frontier advance past an excluded block -----------------------------
 
     def _advance(self, ci: int) -> bool:
-        """Move the frontier past cell ci, left empty; returns False when
-        some fiber becomes impossible to finish or too few cells are left
+        """Move the frontier past block ci, left empty; returns False when
+        some fiber becomes impossible to finish or too few blocks are left
         for the points still needed.  Mutations are applied in full either
         way so that _retreat restores the state exactly."""
         counts, future, quota = self.counts, self.future, self.quota
-        ok = self.ncells - ci - 1 >= self.m_total - len(self.chosen)
-        for a, f in self.cell_fibers[ci]:
+        ok = self.nblocks - ci - 1 >= self.need - len(self.chosen)
+        for a, f in self.block_fibers[ci]:
             fu = future[f] - 1
             future[f] = fu
             c = counts[f]
@@ -326,7 +417,7 @@ class _Engine:
 
     def _retreat(self, ci: int) -> None:
         counts, future, quota, openable = self.counts, self.future, self.quota, self.openable
-        for a, f in self.cell_fibers[ci]:
+        for a, f in self.block_fibers[ci]:
             fu = future[f] + 1
             future[f] = fu
             if fu == quota[a] and not counts[f]:
@@ -335,18 +426,18 @@ class _Engine:
     # -- include / undo ------------------------------------------------------
 
     def _try_include(self, ci: int) -> Optional[tuple[int, ...]]:
-        """Place a support point at cell ci and move the frontier past it.
+        """Place block ci in the support and move the frontier past it.
         Returns the variables whose symbol high-water mark was bumped (undo
         data), or None if the placement is rejected; rejected placements
         leave no state change."""
-        maxused = self.maxused
-        fibers = self.cell_fibers[ci]
+        maxused, nsub = self.maxused, self.nsub
+        fibers = self.block_fibers[ci]
         bumps: tuple[int, ...] = ()
         # singleton i has subset index i; with n = 1 there is none, and the
         # one spec, every cell in the support, needs no relabeling rule
-        for i, f in fibers[: self.n]:
+        for i, f in fibers[: self.relabel]:
             if f > maxused[i]:
-                if f > maxused[i] + 1:
+                if f > maxused[i] + nsub:
                     return None
                 bumps += (i,)
         counts, quota, realized, target = self.counts, self.quota, self.realized, self.target
@@ -358,8 +449,8 @@ class _Engine:
             if counts[base] and not counts[joint]:
                 return None
 
-        # place the point and move the frontier in one pass: the point is one
-        # of those still needed and its fibers are not empty, so of
+        # place the points and move the frontier in one pass: the points are
+        # among those still needed and their fibers are not empty, so of
         # _advance's rules only the capacity rule applies
         future, openable = self.future, self.openable
         ok = True
@@ -376,7 +467,7 @@ class _Engine:
             if c < q and c + fu < q:
                 ok = False
         for i in bumps:
-            maxused[i] += 1
+            maxused[i] += nsub
         self.chosen.append(ci)
         if ok:
             return bumps
@@ -386,9 +477,9 @@ class _Engine:
     def _undo_include(self, ci: int, bumps: tuple[int, ...]) -> None:
         self.chosen.pop()
         for i in bumps:
-            self.maxused[i] -= 1
+            self.maxused[i] -= self.nsub
         counts, future, quota, realized, openable = self.counts, self.future, self.quota, self.realized, self.openable
-        for a, f in self.cell_fibers[ci]:
+        for a, f in self.block_fibers[ci]:
             fu = future[f] + 1
             future[f] = fu
             c = counts[f] - 1
@@ -401,34 +492,36 @@ class _Engine:
     # -- depth-first search --------------------------------------------------
 
     def run(self, max_nodes: int, deadline: float) -> tuple[SearchStatus, Optional[list[int]]]:
-        """Explore every completion of the start state, cell 0 first, and
-        return the verdict with the support found, if any.
+        """Walk the completions of the start state, block 0 first, until a
+        support is found, the tree is exhausted, the count of visited nodes
+        reaches max_nodes or the clock passes the deadline; return the
+        verdict with the blocks chosen, if any.
 
-        ``branch`` is the stack, one entry per cell before the frontier ci:
+        ``branch`` is the stack, one entry per block before the frontier ci:
         the undo bumps of the placement being explored there, or None once
-        only the empty branch is left.  Each cell tries the placement before
-        leaving the cell empty.  One node is counted per visited state; the
-        budget is checked at each count and the clock every 2048 nodes.  A
-        node moves the frontier by at most one cell, so N nodes reach no
-        cell past N - 1, and a cell's tables are built when it is reached."""
-        m_total, chosen = self.m_total, self.chosen
+        only the empty branch is left.  Each block tries the placement before
+        leaving the block empty.  One node is counted per visited state, and
+        the clock is read every 2048 nodes.  BUDGET_EXCEEDED leaves the
+        state at ci unvisited and uncounted, so a later call with a larger
+        max_nodes resumes the same walk there.  A node moves the frontier by
+        at most one block, so N nodes reach no block past N - 1, and a
+        block's tables are built when it is reached."""
+        need, chosen, branch = self.need, self.chosen, self.branch
         try_include, undo_include = self._try_include, self._undo_include
         advance, retreat, clock = self._advance, self._retreat, time.monotonic
-        branch: list[Optional[tuple[int, ...]]] = []
-        built = len(self.cell_fibers)
-        nodes = self.nodes
-        ci = 0
+        built = len(self.block_fibers)
+        nodes, ci = self.nodes, self.ci
         while True:
-            # visit the state whose frontier is cell ci
-            nodes += 1
-            if nodes > max_nodes or not nodes % 2048 and clock() > deadline:
-                self.nodes = nodes
+            if nodes >= max_nodes or not nodes % 2048 and clock() > deadline:
+                self.nodes, self.ci = nodes, ci
                 return SearchStatus.BUDGET_EXCEEDED, None
-            if len(chosen) == m_total:
+            # visit the state whose frontier is block ci
+            nodes += 1
+            if len(chosen) == need:
                 # quota accounting makes any full placement a valid support
                 self.nodes = nodes
                 return SearchStatus.FOUND, list(chosen)
-            # _advance keeps a cell for every point still needed, so the
+            # _advance keeps a block for every one still needed, so the
             # frontier is still inside the grid
             if ci == built:
                 built = self._extend()
@@ -438,7 +531,7 @@ class _Engine:
                 ci += 1
                 continue
             retreat(ci)
-            # the subtree is done: back up to the deepest cell with a branch left
+            # the subtree is done: back up to the deepest block with a branch left
             while True:
                 if not branch:
                     self.nodes = nodes
@@ -456,9 +549,11 @@ class _Engine:
                 retreat(ci)
 
     def pmf_from_support(self, support: Sequence[int]) -> JointPMF:
-        p = Fraction(1, self.m_total)
-        radix = [(math.prod(self.sizes[i + 1:]), s) for i, s in enumerate(self.sizes)]  # last variable fastest
-        return JointPMF(self.sizes, dict.fromkeys(zip(*[[ci // d % s for ci in support] for d, s in radix]), p))
+        """The uniform PMF on the cells of the given blocks."""
+        coords = [[b // d % r for b in support] for d, r in self.radix]
+        if self.blen > 1:
+            coords = [[(x + t) % s for x in xs for t in range(self.blen)] for xs, s in zip(coords, self.sizes)]
+        return JointPMF(self.sizes, dict.fromkeys(zip(*coords), Fraction(1, self.m_total)))
 
 
 def _check_hints(spec: SupportSpec, hints: Sequence[FunctionalDependence]) -> None:
@@ -475,6 +570,11 @@ def search(
 ) -> SearchOutcome:
     """Look for a support realizing the spec; uniform PMF on success.
 
+    Runs the three steps of the module docstring, the first two for up to
+    _PHASE_NODES nodes each; the orbit phase is skipped when it cannot find
+    a support in its allowance.  Orbit nodes count toward
+    ``budget.max_nodes`` and are reported as ``orbit_nodes``.
+
     Deterministic: identical spec, hints and budget reproduce the same
     outcome, node count and witness.
 
@@ -482,6 +582,7 @@ def search(
     ``structural_hints(spec.vector())`` returns, with frozenset fields;
     any other hint raises ValueError, because it could prune every
     realization and turn a feasible spec into a false EXHAUSTED_INFEASIBLE.
+    Hints apply to the walk over cells only.
     """
     ok, witness = check_feasibility_necessary(spec)
     if not ok:
@@ -490,10 +591,24 @@ def search(
         _check_hints(spec, hints)
     budget = budget or Budget()
     start = time.monotonic()
-    engine = _Engine(spec, hints)
-    status, support = engine.run(budget.max_nodes, start + budget.max_seconds)
+    deadline = start + budget.max_seconds
+    engine = plain = _Engine(spec, hints)
+    status, support = plain.run(min(budget.max_nodes, _PHASE_NODES), deadline)
+    orbit_nodes = 0
+    if status is SearchStatus.BUDGET_EXCEEDED and budget.max_nodes > _PHASE_NODES:
+        allowance = min(_PHASE_NODES, budget.max_nodes - _PHASE_NODES)
+        orbit = _Engine(spec, orbits=True)
+        if orbit.viable(allowance):
+            status, support = orbit.run(allowance, deadline)
+            orbit_nodes = orbit.nodes
+        if status is SearchStatus.FOUND:
+            engine = orbit
+        else:
+            status, support = plain.run(budget.max_nodes - orbit_nodes, deadline)
     pmf = engine.pmf_from_support(support) if support is not None else None
-    return SearchOutcome(status, pmf, engine.nodes, time.monotonic() - start)
+    # a capped search also counts the visit that found the budget spent
+    nodes = plain.nodes + orbit_nodes + (status is SearchStatus.BUDGET_EXCEEDED)
+    return SearchOutcome(status, pmf, nodes, time.monotonic() - start, orbit_nodes)
 
 
 def brute_force_oracle(spec: SupportSpec, cap: int = 24) -> SearchOutcome:

@@ -238,21 +238,30 @@ class TestSearchCommand:
         assert code == 0
         assert (report["status"], report["nodes_explored"]) == ("found", 1001)
 
-    def test_node_budget_bounds_the_build(self):
-        # 8,000,000 cells: the cell tables are built only as far as the walk
-        # reaches, so ten nodes fit in 1 GiB of address space
+    def test_node_budget_bounds_the_build(self, tmp_path):
+        # The tables and fiber counters grow only as far as the walk reaches,
+        # so each run fits in 1 GiB of address space and ends quickly:
+        # - 8,000,000 cells at 10 nodes, and at 5,000, past the orbit
+        #   phase's start (the 40,000 orbits it would need do not fit in
+        #   its allowance, so it is skipped);
+        # - 10^10 cells whose pair 12 has as many fibers, at 10 nodes.
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"n": 3, "m": {
+            "1": 10**5, "2": 10**5, "3": 1, "12": 10**10, "13": 10**5, "23": 10**5, "123": 10**10,
+        }}))
+
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-        start = time.monotonic()
-        proc = run_subprocess(
-            "-m", "entrocone.cli", "search", fx("spec_large_grid.json"), "--budget-nodes", "10",
-            preexec_fn=limit_memory,
-        )
-        assert time.monotonic() - start < 2
-        assert proc.returncode == EX_INCONCLUSIVE, proc.stderr
-        report = json.loads(proc.stdout)
-        assert (report["status"], report["nodes_explored"]) == ("budget_exceeded", 11)
+        for spec, nodes in ((fx("spec_large_grid.json"), 10), (fx("spec_large_grid.json"), 5000), (str(wide), 10)):
+            start = time.monotonic()
+            proc = run_subprocess(
+                "-m", "entrocone.cli", "search", spec, "--budget-nodes", str(nodes), preexec_fn=limit_memory,
+            )
+            assert time.monotonic() - start < 2
+            assert proc.returncode == EX_INCONCLUSIVE, proc.stderr
+            report = json.loads(proc.stdout)
+            assert (report["status"], report["nodes_explored"]) == ("budget_exceeded", nodes + 1)
 
     def test_deterministic_repeat_is_byte_identical(self, capsys):
         code1 = main(["search", fx("spec_f.json"), "--budget-seconds", "60"])

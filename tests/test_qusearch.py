@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from entrocone import qusearch
 from entrocone.distributions import entropy_vector, independent_product, is_quasi_uniform
 from entrocone.logexact import from_log_int
 from entrocone.qusearch import (
@@ -186,18 +187,44 @@ class TestSearch:
         assert (outcome.status, outcome.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 2)
 
     def test_deep_grid(self):
-        # k**3 cells, all of them in the support: the walk goes as deep as
-        # the grid, one node per cell and one for the full placement; past
-        # 1,024 cells it crosses the boundaries of the cell tables' chunks
+        # k**3 cells, all of them in the support: the walk over cells goes as
+        # deep as the grid, one node per cell and one for the full placement;
+        # past 1,024 cells it crosses the boundaries of the tables' chunks.
+        # The engine runs alone, as search() finds the larger grids in its
+        # orbit phase, one node per orbit of 33 cells past the first 2,048.
         for k in (10, 12, 33):
             spec = mkspec(3, [k, k, k, k * k, k * k, k * k, k**3])
-            outcome = search(spec, budget=Budget(max_nodes=50_000, max_seconds=60))
-            assert outcome.nodes_explored == k**3 + 1
+            engine = _Engine(spec)
+            status, support = engine.run(50_000, float("inf"))
+            assert (status, engine.nodes) == (SearchStatus.FOUND, k**3 + 1)
             # k**3 points on k**3 cells are the whole grid, which realizes
             # the spec; the slower entropy check runs on the smaller grids
-            assert sorted(outcome.pmf.mass) == list(itertools.product(range(k), repeat=3))
+            grid = list(itertools.product(range(k), repeat=3))
+            assert sorted(engine.pmf_from_support(support).mass) == grid
             if k < 33:
-                assert_realizes(outcome, spec)
+                assert_realizes(search(spec), spec)
+        outcome = search(spec, budget=Budget(max_nodes=50_000, max_seconds=60))
+        assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == (SearchStatus.FOUND, 2048 + 1090, 1090)
+        assert sorted(outcome.pmf.mass) == grid
+
+    def test_orbit_phase_never_reports_exhausted(self, monkeypatch):
+        # parity's supports x1 + x2 + x3 = c mod 2 are not invariant under
+        # the diagonal shift, so the walk over orbits exhausts on a
+        # feasible spec: its exhaustion proves nothing
+        engine = _Engine(PARITY_SPEC, orbits=True)
+        assert (engine.run(100, float("inf")), engine.nodes) == ((SearchStatus.EXHAUSTED_INFEASIBLE, None), 5)
+        # with phases of 5 nodes, the walk over cells resumes after the
+        # exhausted orbit phase and finds its own witness at its own count
+        plain = search(PARITY_SPEC)
+        monkeypatch.setattr(qusearch, "_PHASE_NODES", 5)
+        outcome = search(PARITY_SPEC)
+        assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == (SearchStatus.FOUND, 8 + 5, 5)
+        assert outcome.pmf == plain.pmf
+        # a budget spent after an exhausted orbit phase is BUDGET_EXCEEDED
+        monkeypatch.undo()
+        outcome = search(mkspec(3, [4, 4, 4, 12, 8, 12, 24]), budget=Budget(max_nodes=2048 + 151 + 10))
+        assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == (
+            SearchStatus.BUDGET_EXCEEDED, 2048 + 151 + 10 + 1, 151)
 
     @pytest.mark.parametrize("left,right", [
         ([2, 2, 2, 4, 4, 4, 4], [3, 3, 3, 9, 9, 9, 18]),
@@ -215,35 +242,44 @@ class TestSearch:
             assert_realizes(outcome, spec)
 
 
-# (status, nodes_explored) at Budget(max_nodes=100_000): parity and f, then
-# specs from perfbench/verdicts.json, fast and slow finds, exhausted ones
-# and the budget-capped candidate.  Hints off and on give the same counts.
+# Per spec at 100,000 nodes: (status, nodes) of the walk over cells alone,
+# and (status, nodes_explored, orbit_nodes) of search().  Parity and f, then
+# specs from perfbench/verdicts.json: fast and slow finds, exhausted ones and
+# the candidate.  The orbit phase runs on specs the walk over cells leaves
+# undecided at 2,048 nodes, unless a quota is not a whole number of units:
+# it is skipped on (3,5,5,15,15,15,30), where an orbit puts 3 points in each
+# fiber of 23 that it meets and the quota is 2.  It finds (4,4,4,12,12,12,24)
+# and the candidate, and exhausts on two infeasible specs, after which the
+# walk over cells decides.  Hints off and on give the same counts.
+FOUND, EXHAUSTED, CAPPED = SearchStatus.FOUND, SearchStatus.EXHAUSTED_INFEASIBLE, SearchStatus.BUDGET_EXCEEDED
 NODE_COUNTS = [
-    ([2, 2, 2, 4, 4, 4, 4], SearchStatus.FOUND, 8),
-    ([4, 4, 4, 16, 16, 16, 48], SearchStatus.FOUND, 76),
-    ([1, 3, 3, 3, 3, 6, 6], SearchStatus.FOUND, 11),
-    ([2, 2, 2, 2, 4, 4, 4], SearchStatus.FOUND, 9),
-    ([3, 5, 5, 15, 15, 15, 30], SearchStatus.FOUND, 2957),
-    ([4, 4, 4, 12, 12, 12, 24], SearchStatus.FOUND, 5938),
-    ([5, 5, 4, 20, 20, 20, 60], SearchStatus.FOUND, 16322),
-    ([3, 3, 3, 6, 6, 6, 12], SearchStatus.EXHAUSTED_INFEASIBLE, 92),
-    ([4, 4, 4, 12, 8, 12, 24], SearchStatus.EXHAUSTED_INFEASIBLE, 2719),
-    ([5, 5, 5, 20, 20, 20, 80], SearchStatus.EXHAUSTED_INFEASIBLE, 1655),
-    ([5, 5, 5, 10, 10, 10, 20], SearchStatus.EXHAUSTED_INFEASIBLE, 14544),
-    ([9, 9, 6, 54, 54, 54, 216], SearchStatus.BUDGET_EXCEEDED, 100_001),
-    ([5, 5, 5, 15, 25, 25, 75], SearchStatus.FOUND, 166),
+    ([2, 2, 2, 4, 4, 4, 4], (FOUND, 8), (FOUND, 8, 0)),
+    ([4, 4, 4, 16, 16, 16, 48], (FOUND, 76), (FOUND, 76, 0)),
+    ([1, 3, 3, 3, 3, 6, 6], (FOUND, 11), (FOUND, 11, 0)),
+    ([2, 2, 2, 2, 4, 4, 4], (FOUND, 9), (FOUND, 9, 0)),
+    ([3, 5, 5, 15, 15, 15, 30], (FOUND, 2957), (FOUND, 2957, 0)),
+    ([4, 4, 4, 12, 12, 12, 24], (FOUND, 5938), (FOUND, 2048 + 18, 18)),
+    ([5, 5, 4, 20, 20, 20, 60], (FOUND, 16322), (FOUND, 16322, 0)),
+    ([3, 3, 3, 6, 6, 6, 12], (EXHAUSTED, 92), (EXHAUSTED, 92, 0)),
+    ([4, 4, 4, 12, 8, 12, 24], (EXHAUSTED, 2719), (EXHAUSTED, 2719 + 151, 151)),
+    ([5, 5, 5, 20, 20, 20, 80], (EXHAUSTED, 1655), (EXHAUSTED, 1655, 0)),
+    ([5, 5, 5, 10, 10, 10, 20], (EXHAUSTED, 14544), (EXHAUSTED, 14544 + 523, 523)),
+    ([9, 9, 6, 54, 54, 54, 216], (CAPPED, 100_000), (FOUND, 2048 + 201, 201)),
+    ([5, 5, 5, 15, 25, 25, 75], (FOUND, 166), (FOUND, 166, 0)),
 ]
 
 
 class TestNodeCounts:
     @pytest.mark.parametrize("hinted", [False, True], ids=["plain", "hinted"])
-    @pytest.mark.parametrize("m,status,nodes", NODE_COUNTS, ids=[",".join(map(str, m)) for m, _, _ in NODE_COUNTS])
-    def test_pinned(self, m, status, nodes, hinted):
+    @pytest.mark.parametrize("m,walk,pinned", NODE_COUNTS, ids=[",".join(map(str, m)) for m, _, _ in NODE_COUNTS])
+    def test_pinned(self, m, walk, pinned, hinted):
         spec = mkspec(3, m)
         hints = structural_hints(spec.vector()) if hinted else ()
+        engine = _Engine(spec, hints)
+        assert (engine.run(100_000, float("inf"))[0], engine.nodes) == walk
         outcome = search(spec, budget=Budget(max_nodes=100_000, max_seconds=600), hints=hints)
-        assert (outcome.status, outcome.nodes_explored) == (status, nodes)
-        if status is SearchStatus.FOUND:
+        assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == pinned
+        if outcome.status is SearchStatus.FOUND:
             assert_realizes(outcome, spec)
 
     def test_rejected_inclusion_leaves_no_trace(self):
@@ -269,11 +305,17 @@ class TestNodeCounts:
         assert status is SearchStatus.FOUND and rejected
 
     def test_exhausted_search_restores_the_start_state(self):
+        # both walks exhaust on this spec; the start state of the slots they
+        # gave out is that of a fresh engine with as many blocks tabulated
         spec = mkspec(3, [4, 4, 4, 12, 8, 12, 24])
-        engine = _Engine(spec, structural_hints(spec.vector()))
-        start = (list(engine.counts), list(engine.future), list(engine.openable), list(engine.realized))
-        assert engine.run(100_000, float("inf"))[0] is SearchStatus.EXHAUSTED_INFEASIBLE
-        assert (engine.counts, engine.future, engine.openable, engine.realized) == start
+        for hints, orbits in ((structural_hints(spec.vector()), False), ((), True)):
+            engine = _Engine(spec, hints, orbits)
+            assert engine.run(100_000, float("inf"))[0] is SearchStatus.EXHAUSTED_INFEASIBLE
+            fresh = _Engine(spec, hints, orbits)
+            while len(fresh.block_fibers) < len(engine.block_fibers):
+                fresh._extend()
+            for name in ("counts", "future", "openable", "realized", "maxused", "chosen"):
+                assert getattr(engine, name) == getattr(fresh, name)
 
 
 class TestOracle:
