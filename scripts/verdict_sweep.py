@@ -29,13 +29,16 @@ The hinted pass also fails when a spec the plain pass decided gets another
 status or witness, or more nodes: a hint prunes only subtrees that hold no
 support, so the walk must meet the same first witness no later.  The table
 is read, never written.  Each pass ends with its total node count, its
-orbit nodes and its node rate, which depends on the machine.
+orbit nodes, its node rate and the median time of one `search` call over
+the specs decided within 2,048 nodes, where the fixed cost of a call
+around the walk shows; both times depend on the machine and gate nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -76,11 +79,17 @@ def sweep(table: dict, plain: list[SearchOutcome] | None = None) -> tuple[bool, 
     lost = 0
     nodes = orbit_nodes = 0
     outcomes = []
+    fast_ms = []  # per search call decided within _PHASE_NODES nodes
     start = time.perf_counter()
     for k, row in enumerate(table["specs"]):
         spec = SupportSpec(3, dict(zip(order, row["m"])))
-        outcome = search(spec, budget, structural_hints(spec.vector()) if hinted else ())
+        hints = structural_hints(spec.vector()) if hinted else ()
+        called = time.perf_counter()
+        outcome = search(spec, budget, hints)
+        call_ms = 1000 * (time.perf_counter() - called)
         outcomes.append(outcome)
+        if outcome.status is not SearchStatus.BUDGET_EXCEEDED and outcome.nodes_explored <= _PHASE_NODES:
+            fast_ms.append(call_ms)
         nodes += outcome.nodes_explored
         orbit_nodes += outcome.orbit_nodes
         statuses[outcome.status] += 1
@@ -116,6 +125,9 @@ def sweep(table: dict, plain: list[SearchOutcome] | None = None) -> tuple[bool, 
     print(f"{mode}: decided in the table but budget-capped here: {lost}")
     print(f"{mode}: total nodes: {nodes}, of which orbit nodes: {orbit_nodes}")
     print(f"{mode}: elapsed: {elapsed:.2f} s, {nodes / elapsed:,.0f} nodes/s")
+    if fast_ms:
+        print(f"{mode}: median search call over the {len(fast_ms)} specs decided within {_PHASE_NODES:,} nodes:"
+              f" {statistics.median(fast_ms):.3f} ms")
     return not failures, outcomes
 
 

@@ -290,12 +290,14 @@ def _cmd_search(args) -> int:
     try:
         spec = qusearch.SupportSpec.from_json(_load_json(args.spec_file))
         ok, witness = qusearch.check_feasibility_necessary(spec)
+        # the hints factor every size: one too large to factor is a data error
+        vector = spec.vector() if ok else None
     except ValueError as exc:
         raise DataError(f"{args.spec_file}: {exc}") from None
     if not ok:
         _emit({"command": "search", "status": "infeasible_necessary", "witness": witness})
         return EX_FALSE
-    hints = qusearch.structural_hints(spec.vector())
+    hints = qusearch.structural_hints(vector)
     outcome = qusearch.search(spec, budget=budget, hints=hints)
     report = {
         "command": "search",

@@ -54,9 +54,10 @@ class JointPMF:
 
     `names` optionally maps each variable to display symbols for the file
     format; it is presentation only and excluded from equality.
+    `common_denominator` is the lcm of the masses' denominators.
     """
 
-    __slots__ = ("n", "alphabet_sizes", "mass", "names", "__dict__")
+    __slots__ = ("n", "alphabet_sizes", "mass", "names", "common_denominator", "__dict__")
 
     def __init__(
         self,
@@ -68,7 +69,6 @@ class JointPMF:
         if not sizes or any(s < 1 for s in sizes):
             raise PMFFormatError("alphabet sizes must be positive")
         clean: dict[tuple[int, ...], Fraction] = {}
-        total = Fraction(0)
         for point, p in mass.items():
             point = tuple(int(x) for x in point)
             p = Fraction(p)
@@ -76,17 +76,20 @@ class JointPMF:
                 raise PMFFormatError(f"support point {point} has wrong arity")
             if any(not 0 <= x < s for x, s in zip(point, sizes)):
                 raise PMFFormatError(f"support point {point} outside alphabets {sizes}")
-            if p <= 0:
+            if p.numerator <= 0:  # a Fraction keeps its sign in the numerator
                 raise PMFFormatError(f"mass of {point} must be strictly positive")
             if point in clean:
                 raise PMFFormatError(f"duplicate support point {point}")
             clean[point] = p
-            total += p
-        if total != 1:
-            raise PMFFormatError(f"mass sum != 1 (got {total})")
+        # sum the masses as integers over their common denominator
+        den = math.lcm(*(p.denominator for p in clean.values()))
+        total = sum(p.numerator * (den // p.denominator) for p in clean.values())
+        if total != den:
+            raise PMFFormatError(f"mass sum != 1 (got {Fraction(total, den)})")
         self.n = len(sizes)
         self.alphabet_sizes = sizes
         self.mass = dict(sorted(clean.items()))
+        self.common_denominator = den
         if names is not None:
             names = tuple(tuple(v) if v is not None else None for v in names)
             if len(names) != self.n:
@@ -110,14 +113,10 @@ class JointPMF:
         return f"JointPMF(n={self.n}, sizes={self.alphabet_sizes}, support={len(self.mass)})"
 
     @cached_property
-    def common_denominator(self) -> int:
-        return math.lcm(*(p.denominator for p in self.mass.values()))
-
-    @cached_property
     def integer_counts(self) -> dict[tuple[int, ...], int]:
         """Masses as integers a_x over the common denominator."""
         N = self.common_denominator
-        return {x: int(p * N) for x, p in self.mass.items()}
+        return {x: p.numerator * (N // p.denominator) for x, p in self.mass.items()}
 
 
 def marginalize(pmf: JointPMF, alpha: Iterable[int]) -> JointPMF:

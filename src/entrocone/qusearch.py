@@ -32,7 +32,7 @@ frontier.  An orbit puts the same number of points in each fiber of a
 subset that it meets, so fibers are counted in units of that number and
 both kinds of block share every rule.  Each block's ``(subset, slot)``
 pairs are tabulated, and fiber slots given out, when the walk first
-reaches the block, so a run of N nodes tabulates at most ``max(2N, 1024)``
+reaches the block, so a run of N nodes tabulates at most ``max(2N, 64)``
 cells or the orbits of as many cells.  Three families of pruning rules run
 on these counters:
 
@@ -79,7 +79,9 @@ from typing import Iterable, Optional, Sequence
 
 from .distributions import EntropyVector, JointPMF
 from .logexact import LogLinear
-from .polycone import in_gamma_n
+# in_gamma_n is not used here; it stays a name of this module because
+# perfbench/trace.py patches qusearch.in_gamma_n
+from .polycone import elemental_inequalities, in_gamma_n  # noqa: F401
 from .subsets import MAX_VARS, Subset, canonical_order, parse_subset_name, subset_name
 
 __all__ = [
@@ -153,6 +155,13 @@ def check_feasibility_necessary(spec: SupportSpec) -> tuple[bool, Optional[str]]
 
     True never guarantees a realization exists; False is a proof that none
     does, with the violated invariant as witness.
+
+    The elemental inequalities are checked on the sizes, in the order of
+    :func:`polycone.elemental_inequalities`: each has coefficients in
+    {-1, 0, +1}, and as log is increasing, ``sum_a c_a log m_a >= 0``
+    holds exactly when the product of the ``m_a`` with ``c_a = +1`` is at
+    least the product of those with ``c_a = -1``.  The integer comparison
+    is exact and factors no size.
     """
     for alpha in canonical_order(spec.n):
         for i in range(1, spec.n + 1):
@@ -169,9 +178,16 @@ def check_feasibility_necessary(spec: SupportSpec) -> tuple[bool, Optional[str]]
                     f"divisibility fails: m_{subset_name(alpha)} = {spec.m[alpha]}"
                     f" does not divide m_{subset_name(beta)} = {spec.m[beta]}"
                 )
-    verdict = in_gamma_n(spec.vector())
-    if not verdict.in_cone:
-        return False, f"log-size vector violates {verdict.violated.name}"
+    sizes = [spec.m[a] for a in canonical_order(spec.n)]
+    for fn in elemental_inequalities(spec.n):
+        plus = minus = 1
+        for c, m in zip(fn.coeffs, sizes):
+            if c > 0:
+                plus *= m
+            elif c < 0:
+                minus *= m
+        if plus < minus:
+            return False, f"log-size vector violates {fn.name}"
     return True, None
 
 
@@ -253,7 +269,7 @@ class SearchOutcome:
 # plain nodes before the orbit phase, and the orbit phase's node allowance
 _PHASE_NODES = 2048
 # cells in the first chunk of block tables; an orbit of more cells is not tried
-_CHUNK = 1024
+_CHUNK = 64
 
 
 class _Engine:
@@ -347,7 +363,7 @@ class _Engine:
         """Whether a run of max_nodes nodes can find a support: every quota
         is a whole number of units, the walk places at most one block per
         node and needs one more node to see the full placement, and a block
-        has at most _CHUNK cells, which bounds the work of a node."""
+        has at most _CHUNK = 64 cells, which bounds the work of a node."""
         return self.divisible and self.need < max_nodes and self.blen <= _CHUNK
 
     def _extend(self) -> int:

@@ -229,6 +229,15 @@ class TestSearchCommand:
         assert code == EX_FALSE
         assert "does not divide" in report["witness"]
 
+    def test_search_infeasible_spec_with_size_too_large_to_factor(self, tmp_path, capsys):
+        # m_1 * m_2 < m_12 is decided on the sizes, before the hints factor them
+        big = 3 * (2**89 - 1)
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"n": 2, "m": {"1": 2, "2": big, "12": 4 * big}}))
+        code, report = run(capsys, "search", str(spec))
+        assert code == EX_FALSE
+        assert report["witness"] == "log-size vector violates submod:1,2|-"
+
     def test_search_deep_grid(self, tmp_path, capsys):
         spec = tmp_path / "deep.json"
         spec.write_text(json.dumps({"n": 3, "m": {

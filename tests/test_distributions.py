@@ -1,3 +1,6 @@
+import itertools
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,8 +34,6 @@ def uniform_on(support, sizes):
 def small_random_pmf(rng, n=2, max_size=3):
     sizes = [rng.randrange(1, max_size + 1) for _ in range(n)]
     cells = [tuple(rng.randrange(s) for s in sizes)]
-    import itertools
-
     for cell in itertools.product(*[range(s) for s in sizes]):
         if rng.random() < 0.5 and cell not in cells:
             cells.append(cell)
@@ -55,6 +56,33 @@ class TestJointPMF:
     def test_common_denominator(self, table1_pmf):
         assert table1_pmf.common_denominator == 48
         assert set(table1_pmf.integer_counts.values()) == {1}
+
+    def test_mass_sum_over_mixed_denominators(self):
+        # masses w_x / (d_x * S) with S = sum of w_x / d_x sum to 1 over
+        # denominators of mixed size; moving one mass by 1/L, L their lcm,
+        # misses 1 by the smallest step the masses can express
+        rng = seeded_rng("pmf-mass-sum")
+        for _ in range(200):
+            sizes = [rng.randrange(1, 5) for _ in range(3)]
+            cells = list(itertools.product(*map(range, sizes)))
+            support = rng.sample(cells, rng.randrange(1, len(cells) + 1))
+            weights = [Fraction(rng.randrange(1, 9), rng.randrange(1, 13)) for _ in support]
+            total = sum(weights)
+            mass = {x: w / total for x, w in zip(support, weights)}
+            pmf = JointPMF(sizes, mass)
+            lcm = math.lcm(*(p.denominator for p in mass.values()))
+            assert pmf.common_denominator == lcm
+            assert sum(pmf.integer_counts.values()) == lcm
+            assert all(Fraction(a, lcm) == mass[x] for x, a in pmf.integer_counts.items())
+            x = rng.choice(support)
+            for step in (Fraction(1, lcm), Fraction(-1, lcm)):
+                if mass[x] + step > 0:
+                    off = {**mass, x: mass[x] + step}
+                    with pytest.raises(PMFFormatError, match=re.escape(f"mass sum != 1 (got {sum(off.values())})")):
+                        JointPMF(sizes, off)
+            for bad in (Fraction(0), -mass[x]):
+                with pytest.raises(PMFFormatError, match=re.escape(f"mass of {x} must be strictly positive")):
+                    JointPMF(sizes, {**mass, x: bad})
 
 
 class TestMarginalization:

@@ -1,11 +1,16 @@
 import itertools
+import json
+import math
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from entrocone import qusearch
 from entrocone.distributions import entropy_vector, independent_product, is_quasi_uniform
 from entrocone.logexact import from_log_int
+from entrocone.polycone import in_gamma_n
 from entrocone.qusearch import (
     _Engine,
     Budget,
@@ -18,9 +23,11 @@ from entrocone.qusearch import (
     spec_from_vector,
     structural_hints,
 )
-from entrocone.subsets import canonical_order
+from entrocone.subsets import canonical_order, subset_name
 
-from conftest import candidate_vector, f_vector, g_vector
+from conftest import candidate_vector, f_vector, g_vector, seeded_rng
+
+VERDICTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "verdicts.json").read_text())
 
 
 def mkspec(n, values):
@@ -111,6 +118,59 @@ class TestFeasibilityNecessary:
         assert not ok
         assert "violates" in witness
 
+    @staticmethod
+    def reference(spec):
+        """The check on the exact log-size vector: the divisibility and
+        monotonicity loop, then polycone.in_gamma_n."""
+        for alpha in canonical_order(spec.n):
+            for beta in (alpha | {i} for i in range(1, spec.n + 1) if i not in alpha):
+                if spec.m[alpha] > spec.m[beta]:
+                    return False, (
+                        f"monotonicity fails: m_{subset_name(alpha)} = {spec.m[alpha]}"
+                        f" > m_{subset_name(beta)} = {spec.m[beta]}"
+                    )
+                if spec.m[beta] % spec.m[alpha] != 0:
+                    return False, (
+                        f"divisibility fails: m_{subset_name(alpha)} = {spec.m[alpha]}"
+                        f" does not divide m_{subset_name(beta)} = {spec.m[beta]}"
+                    )
+        verdict = in_gamma_n(spec.vector())
+        if not verdict.in_cone:
+            return False, f"log-size vector violates {verdict.violated.name}"
+        return True, None
+
+    def test_agrees_with_log_vector_check_on_verdict_table(self):
+        for row in VERDICTS["specs"]:
+            spec = mkspec(3, row["m"])
+            assert check_feasibility_necessary(spec) == self.reference(spec), row["m"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_log_vector_check_on_seeded_specs(self, n):
+        # sizes of functions of independent uniform coordinates pass every
+        # check; every other spec scales one size and the sizes above it by
+        # a prime, which can break submodularity, and every eighth spec gets
+        # one random size, which can break monotonicity or divisibility
+        rng = seeded_rng(f"feasibility:{n}")
+        order = canonical_order(n)
+        messages = set()
+        for k in range(300):
+            hidden = [rng.choice((2, 3, 4, 5)) for _ in range(n + 1)]
+            owns = [{j for j in range(n + 1) if rng.random() < 0.5} for _ in range(n)]
+            m = {a: math.prod(hidden[j] for j in set().union(*(owns[i - 1] for i in a))) for a in order}
+            if k % 2:
+                alpha, p = rng.choice(order), rng.choice((2, 3))
+                for beta in order:
+                    if alpha <= beta:
+                        m[beta] *= p
+            if k % 8 == 7:
+                m[rng.choice(order)] = rng.randrange(1, 40)
+            spec = SupportSpec(n, m)
+            got = check_feasibility_necessary(spec)
+            assert got == self.reference(spec), m
+            messages.add(got[1].split(":")[0] if got[1] else None)
+        if n > 1:
+            assert {None, "log-size vector violates submod"} <= messages
+
     def test_missing_subset(self):
         # a spec without every subset cannot be built, so it never reaches the check
         with pytest.raises(ValueError, match="missing"):
@@ -169,6 +229,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(mkspec(2, [2, 2, 3]))
 
+    def test_size_too_large_to_factor_is_searched(self):
+        # the feasibility check compares products of sizes and factors none
+        outcome = search(SupportSpec(1, {frozenset({1}): 3 * (2**89 - 1)}), Budget(max_nodes=10))
+        assert (outcome.status, outcome.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 11)
+
     @pytest.mark.parametrize("kwargs", [
         {"max_nodes": 0},
         {"max_nodes": -5},
@@ -189,7 +254,7 @@ class TestSearch:
     def test_deep_grid(self):
         # k**3 cells, all of them in the support: the walk over cells goes as
         # deep as the grid, one node per cell and one for the full placement;
-        # past 1,024 cells it crosses the boundaries of the tables' chunks.
+        # past 64 cells it crosses the boundaries of the tables' chunks.
         # The engine runs alone, as search() finds the larger grids in its
         # orbit phase, one node per orbit of 33 cells past the first 2,048.
         for k in (10, 12, 33):
@@ -206,6 +271,15 @@ class TestSearch:
         outcome = search(spec, budget=Budget(max_nodes=50_000, max_seconds=60))
         assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == (SearchStatus.FOUND, 2048 + 1090, 1090)
         assert sorted(outcome.pmf.mass) == grid
+
+    def test_orbit_longer_than_a_chunk_is_not_tried(self):
+        # orbits of 201 cells: the orbit phase, whose node would meet 1,206
+        # fibers, is skipped, and the walk over cells spends the budget
+        k = 201
+        start = time.perf_counter()
+        outcome = search(mkspec(3, [k, k, k] + [k * k] * 4), Budget(max_nodes=5000))
+        assert time.perf_counter() - start < 0.5
+        assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == (SearchStatus.BUDGET_EXCEEDED, 5001, 0)
 
     def test_orbit_phase_never_reports_exhausted(self, monkeypatch):
         # parity's supports x1 + x2 + x3 = c mod 2 are not invariant under
