@@ -13,7 +13,6 @@ from .bounds import (
     BoundVerdict,
     OMEGA_FACE,
     THETA_FACE,
-    face_1_123p_entropic,
     face_12_123p_entropic,
     omega_in,
     qu_necessary,
@@ -33,7 +32,7 @@ from .distributions import (
     parse_pmf,
     serialize_pmf,
 )
-from .logexact import LogLinear, PrecisionExhausted, Sign, from_log_int, from_log_rational
+from .logexact import LogLinear, PrecisionExhausted, Sign
 from .polycone import (
     ConicCertificate,
     FaceLocation,
@@ -43,7 +42,6 @@ from .polycone import (
     RAY_ORDER,
     Ray,
     combination,
-    cone_decompositions,
     cone_membership,
     elemental_inequalities,
     face_catalogue,

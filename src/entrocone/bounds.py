@@ -31,7 +31,6 @@ __all__ = [
     "ConditionReport",
     "OMEGA_FACE",
     "THETA_FACE",
-    "face_1_123p_entropic",
     "face_12_123p_entropic",
     "omega_in",
     "qu_necessary",
@@ -54,9 +53,6 @@ def ray123p_entropic(lam: LogLinear) -> bool:
     2-D face with a single-variable ray, whose coefficient is unconstrained."""
     _require_nonnegative("apex coefficient", lam)
     return lam.as_log_natural() is not None
-
-
-face_1_123p_entropic = ray123p_entropic
 
 
 def face_12_123p_entropic(lambda12: LogLinear, lambda123p: LogLinear) -> bool:

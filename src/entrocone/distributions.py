@@ -52,19 +52,12 @@ class PMFFormatError(ValueError):
 class JointPMF:
     """Support-only joint distribution with exact rational masses.
 
-    `names` optionally maps each variable to display symbols for the file
-    format; it is presentation only and excluded from equality.
     `common_denominator` is the lcm of the masses' denominators.
     """
 
-    __slots__ = ("n", "alphabet_sizes", "mass", "names", "common_denominator", "__dict__")
+    __slots__ = ("n", "alphabet_sizes", "mass", "common_denominator", "__dict__")
 
-    def __init__(
-        self,
-        alphabet_sizes: Sequence[int],
-        mass: Mapping[tuple[int, ...], Fraction],
-        names: Optional[Sequence[Optional[Sequence[str]]]] = None,
-    ):
+    def __init__(self, alphabet_sizes: Sequence[int], mass: Mapping[tuple[int, ...], Fraction]):
         sizes = tuple(int(s) for s in alphabet_sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise PMFFormatError("alphabet sizes must be positive")
@@ -90,14 +83,6 @@ class JointPMF:
         self.alphabet_sizes = sizes
         self.mass = dict(sorted(clean.items()))
         self.common_denominator = den
-        if names is not None:
-            names = tuple(tuple(v) if v is not None else None for v in names)
-            if len(names) != self.n:
-                raise PMFFormatError("names must cover every variable or be omitted")
-            for i, (group, s) in enumerate(zip(names, sizes)):
-                if group is not None and len(group) != s:
-                    raise PMFFormatError(f"names for variable {i + 1} do not match alphabet size")
-        self.names = names
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointPMF):
@@ -131,10 +116,7 @@ def marginalize(pmf: JointPMF, alpha: Iterable[int]) -> JointPMF:
     for point, p in pmf.mass.items():
         key = tuple(point[i] for i in idx)
         out[key] = out.get(key, Fraction(0)) + p
-    names = None
-    if pmf.names is not None:
-        names = [pmf.names[i] for i in idx]
-    return JointPMF([pmf.alphabet_sizes[i] for i in idx], out, names)
+    return JointPMF([pmf.alphabet_sizes[i] for i in idx], out)
 
 
 def entropy(pmf: JointPMF) -> LogLinear:
@@ -186,22 +168,6 @@ class EntropyVector:
             f"{subset_name(a)}:{c.approx_bits(3)}" for a, c in zip(canonical_order(self.n), self.coords)
         )
         return f"EntropyVector(bits {pairs})"
-
-    def permute(self, perm: Mapping[int, int]) -> "EntropyVector":
-        """Coordinate action induced by relabeling the variables."""
-        order = canonical_order(self.n)
-        index = subset_index_map(self.n)
-        out: list[LogLinear] = [None] * len(order)  # type: ignore[list-item]
-        for alpha, c in zip(order, self.coords):
-            out[index[frozenset(perm[i] for i in alpha)]] = c
-        return EntropyVector(self.n, out)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "order": [subset_name(a) for a in canonical_order(self.n)],
-            "coords": [c.to_json() for c in self.coords],
-        }
 
 
 def entropy_vector(pmf: JointPMF) -> EntropyVector:
@@ -258,38 +224,26 @@ def independent_product(p: JointPMF, q: JointPMF) -> JointPMF:
     return JointPMF(sizes, mass)
 
 
-def permute_variables(pmf: JointPMF, perm: Mapping[int, int]) -> JointPMF:
-    """Relabel variable roles: new variable perm[i] plays old variable i."""
-    slot: list[int] = [0] * pmf.n
-    for i in range(1, pmf.n + 1):
-        slot[perm[i] - 1] = i - 1
-    sizes = [pmf.alphabet_sizes[slot[j]] for j in range(pmf.n)]
-    mass = {tuple(x[slot[j]] for j in range(pmf.n)): p for x, p in pmf.mass.items()}
-    names = None
-    if pmf.names is not None:
-        names = [pmf.names[slot[j]] for j in range(pmf.n)]
-    return JointPMF(sizes, mass, names)
-
-
 # ---------------------------------------------------------------------------
 # PMF file format
 #
 #   # comment
 #   pmf n=3 sizes=4,4,4
-#   names 1=a,b,c,d
+#   names 1=a,b,c,d     (optional: symbols read as indices 0, 1, ..; not kept)
 #   0 1 2 : 1/48        (or named symbols where a names line was given)
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(r"^pmf\s+n=(\d+)\s+sizes=([0-9,]+)\s*$")
 _NAMES_RE = re.compile(r"^names\s+(\d+)=(\S+)\s*$")
 _MASS_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII only: str.isdigit also holds for "²", which int() rejects
+_INDEX_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_pmf(text: str) -> JointPMF:
     """Parse the PMF text format; raises PMFFormatError with a line number."""
     n = None
     sizes: tuple[int, ...] = ()
-    names: list[Optional[tuple[str, ...]]] = []
     symbol_maps: list[Optional[dict[str, int]]] = []
     mass: dict[tuple[int, ...], Fraction] = {}
 
@@ -307,7 +261,6 @@ def parse_pmf(text: str) -> JointPMF:
             sizes = tuple(int(s) for s in m.group(2).split(",") if s)
             if n < 1 or len(sizes) != n or any(s < 1 for s in sizes):
                 raise PMFFormatError(f"line {lineno}: header sizes do not match n={n}")
-            names = [None] * n
             symbol_maps = [None] * n
             continue
         m = _NAMES_RE.match(line)
@@ -318,7 +271,6 @@ def parse_pmf(text: str) -> JointPMF:
             group = tuple(m.group(2).split(","))
             if len(group) != sizes[i - 1] or len(set(group)) != len(group):
                 raise PMFFormatError(f"line {lineno}: names for variable {i} must be {sizes[i-1]} distinct symbols")
-            names[i - 1] = group
             symbol_maps[i - 1] = {s: k for k, s in enumerate(group)}
             continue
         if ":" not in line:
@@ -332,7 +284,7 @@ def parse_pmf(text: str) -> JointPMF:
             table = symbol_maps[i]
             if table is not None and tok in table:
                 point.append(table[tok])
-            elif tok.lstrip("+-").isdigit():
+            elif _INDEX_RE.fullmatch(tok):
                 point.append(int(tok))
             else:
                 raise PMFFormatError(f"line {lineno}: unknown symbol {tok!r} for variable {i + 1}")
@@ -356,7 +308,7 @@ def parse_pmf(text: str) -> JointPMF:
     if not mass:
         raise PMFFormatError("no support points given")
     try:
-        return JointPMF(sizes, mass, names if any(g is not None for g in names) else None)
+        return JointPMF(sizes, mass)
     except PMFFormatError as exc:
         raise PMFFormatError(str(exc)) from None
 
@@ -364,15 +316,7 @@ def parse_pmf(text: str) -> JointPMF:
 def serialize_pmf(pmf: JointPMF) -> str:
     """Emit the PMF text format; parse(serialize(p)) == p."""
     lines = [f"pmf n={pmf.n} sizes={','.join(str(s) for s in pmf.alphabet_sizes)}"]
-    if pmf.names is not None:
-        for i, group in enumerate(pmf.names, start=1):
-            if group is not None:
-                lines.append(f"names {i}={','.join(group)}")
     for point in sorted(pmf.mass):
         p = pmf.mass[point]
-        symbols = []
-        for i, x in enumerate(point):
-            group = pmf.names[i] if pmf.names is not None else None
-            symbols.append(group[x] if group is not None else str(x))
-        lines.append(f"{' '.join(symbols)} : {p.numerator}/{p.denominator}")
+        lines.append(f"{' '.join(map(str, point))} : {p.numerator}/{p.denominator}")
     return "\n".join(lines) + "\n"

@@ -31,16 +31,16 @@ critical point are exact.
 A :class:`LogLinear` value is unit-free.  It stands for ``log x`` of the
 positive real ``x = prod_p p**q_p`` in whatever base the caller prefers;
 ordering, integrality tests and ceilings depend only on ``x``.  The base
-matters for decimal display only, hence the three renderers
-:meth:`LogLinear.approx_bits`, :meth:`LogLinear.approx_ln` and
-:meth:`LogLinear.approx_exp`.  Antilogs have two caps of ``_ANTILOG_BITS_CAP``
-bits.  An exact power needs integer coefficients and ``sum_p |q_p| *
-log2 p`` within the cap, past which ``as_log_natural``/``as_log_fraction``
-raise :class:`ValueError`; ``pow2_ceil`` and ``approx_exp`` then use an
-enclosure, which needs both ends of its log enclosure within the cap of
-zero, checked before ``exp``.  Past that cap :class:`ValueError` is raised:
-the antilog would take unbounded time and memory, and its integer part
-would not print under Python's int-to-str digit limit.
+matters for decimal display only, hence the two renderers
+:meth:`LogLinear.approx_bits` and :meth:`LogLinear.approx_exp`.  Antilogs
+have two caps of ``_ANTILOG_BITS_CAP`` bits.  An exact power needs
+integer coefficients and ``sum_p |q_p| * log2 p`` within the cap, past
+which ``as_log_natural``/``as_log_fraction`` raise :class:`ValueError`;
+``pow2_ceil`` and ``approx_exp`` then use an enclosure, which needs both
+ends of its log enclosure within the cap of zero, checked before ``exp``.
+Past that cap :class:`ValueError` is raised: the antilog would take
+unbounded time and memory, and its integer part would not print under
+Python's int-to-str digit limit.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import decimal
+import re
 from enum import IntEnum, unique
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, TypeVar
@@ -57,8 +58,6 @@ __all__ = [
     "PrecisionExhausted",
     "Sign",
     "dot",
-    "from_log_int",
-    "from_log_rational",
 ]
 
 _T = TypeVar("_T")
@@ -68,6 +67,9 @@ _PREC_CAP = 1 << 16
 _ANTILOG_BITS_CAP = 14_000
 # the cap in nats, fixed and rational; rounding ln 2 moves it by under 1e-12
 _ANTILOG_LN_CAP = _ANTILOG_BITS_CAP * Fraction(math.log(2))
+# a coefficient string is an integer or num/den; Fraction would also read
+# decimals and exponents such as "1e200000000", whose expansion is unbounded
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -238,10 +240,6 @@ class LogLinear:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LogLinear":
-        return cls()
-
-    @classmethod
     def from_log_int(cls, m: int) -> "LogLinear":
         """The value ``log m`` for a positive integer ``m`` (``log 1 = 0``)."""
         if m <= 0:
@@ -406,23 +404,16 @@ class LogLinear:
 
     # -- decimal display --------------------------------------------------
 
-    def _approx(self, digits: int, kind: str) -> str:
+    def _approx(self, digits: int, antilog: bool) -> str:
+        """Correctly rounded decimal of the value in bits, or of its antilog."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
         scalepow = Fraction(10) ** digits
 
-        exact: Optional[Fraction] = None
-        if kind == "ln":
-            if not self._terms:
-                exact = Fraction(0)
-        elif kind == "bits":
-            if all(p == 2 for p in self._terms):
-                exact = self._terms.get(2, Fraction(0))
-        elif kind == "exp":
+        if antilog:
             exact = self._exact_antilog()
         else:
-            raise ValueError(f"unknown display kind {kind!r}")
-
+            exact = self._terms.get(2, Fraction(0)) if all(p == 2 for p in self._terms) else None
         if exact is not None:
             scaled = round(exact * scalepow)  # ties to even
             return _format_scaled(scaled, digits)
@@ -430,8 +421,8 @@ class LogLinear:
         ln2 = LogLinear.from_log_int(2)
 
         def decide(prec: int) -> Optional[str]:
-            lo, hi = self._enclosure(prec, antilog=kind == "exp")
-            if kind == "bits":  # divide the natural-log enclosure by an ln 2 enclosure
+            lo, hi = self._enclosure(prec, antilog)
+            if not antilog:  # divide the natural-log enclosure by an ln 2 enclosure
                 dlo, dhi = ln2._enclosure(prec)
                 bounds = [lo / dlo, lo / dhi, hi / dlo, hi / dhi]
                 lo, hi = min(bounds), max(bounds)
@@ -441,17 +432,13 @@ class LogLinear:
 
         return self._refine(decide, "display")
 
-    def approx_ln(self, digits: int = 4) -> str:
-        """Correctly rounded decimal of the natural-log value."""
-        return self._approx(digits, "ln")
-
     def approx_bits(self, digits: int = 4) -> str:
         """Correctly rounded decimal of the value in bits (base-2 logs)."""
-        return self._approx(digits, "bits")
+        return self._approx(digits, antilog=False)
 
     def approx_exp(self, digits: int = 4) -> str:
         """Correctly rounded decimal of the antilog ``prod p**q_p``."""
-        return self._approx(digits, "exp")
+        return self._approx(digits, antilog=True)
 
     # -- serialization ------------------------------------------------------
 
@@ -476,7 +463,8 @@ class LogLinear:
                 raise ValueError(f"prime key {key!r} is not an integer") from None
             if p in terms:
                 raise ValueError(f"prime {p} is named twice")
-            if not isinstance(val, str) and type(val) is not int:  # a JSON float is already rounded
+            # a JSON float is already rounded
+            if not (type(val) is int or isinstance(val, str) and _COEFF_RE.fullmatch(val)):
                 raise ValueError(f"coefficient {val!r} of prime {key!r} must be a 'num/den' string or an integer")
             try:
                 terms[p] = Fraction(val)
@@ -489,16 +477,6 @@ def _format_scaled(scaled: int, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     body = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
-
-
-def from_log_int(m: int) -> LogLinear:
-    """Module-level alias for :meth:`LogLinear.from_log_int`."""
-    return LogLinear.from_log_int(m)
-
-
-def from_log_rational(a: int, b: int) -> LogLinear:
-    """Module-level alias for :meth:`LogLinear.from_log_rational`."""
-    return LogLinear.from_log_rational(a, b)
 
 
 def dot(coeffs: Iterable, values: Iterable[LogLinear]) -> LogLinear:

@@ -29,7 +29,7 @@ from enum import Enum, unique
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .distributions import EntropyVector
 from .logexact import LogLinear, Sign, dot
@@ -46,7 +46,6 @@ __all__ = [
     "RAY_ORDER",
     "Ray",
     "combination",
-    "cone_decompositions",
     "cone_membership",
     "elemental_inequalities",
     "face_catalogue",
@@ -185,9 +184,6 @@ class GammaVerdict:
     violated: Optional[LinearFunctional] = None
     value: Optional[LogLinear] = None
 
-    def __bool__(self) -> bool:
-        return self.in_cone
-
 
 def in_gamma_n(h: EntropyVector) -> GammaVerdict:
     """Test all elemental inequalities; report the first violated one."""
@@ -262,12 +258,13 @@ def combination(coefficients: Mapping[Ray, LogLinear]) -> EntropyVector:
     return EntropyVector(3, [dot([r.vector[i] for r in rays], lams) for i in range(_ROWS)])
 
 
-def _certificates(h: EntropyVector, generators: Iterable[Ray]) -> Iterator[ConicCertificate]:
-    """Distinct all-nonnegative exact certificates of h over the generators.
+def cone_membership(h: EntropyVector, generators: Iterable[Ray]) -> Optional[ConicCertificate]:
+    """Exact conic decomposition of h over the given generator rays.
 
-    Maximal linearly independent generator subsets are enumerated in a
-    fixed deterministic order; each square system is solved once per prime
-    of h.
+    Returns the first all-nonnegative exact certificate under a fixed
+    deterministic enumeration of maximal linearly independent generator
+    subsets, each square system solved once per prime of h, or None when
+    no certificate exists.
     """
     if h.n != 3:
         raise ValueError("conic decomposition is defined for n = 3 vectors")
@@ -275,11 +272,9 @@ def _certificates(h: EntropyVector, generators: Iterable[Ray]) -> Iterator[Conic
     primes = sorted({p for c in h.coords for p in c.terms})
     if not primes:
         # the zero vector is the trivial conic combination
-        yield ConicCertificate({g: LogLinear.zero() for g in gens})
-        return
+        return ConicCertificate({g: LogLinear() for g in gens})
     rhs_list = [[c.terms.get(p, Fraction(0)) for c in h.coords] for p in primes]
     rank = len(_eliminate([g.vector for g in gens])[0])
-    seen: set[tuple] = set()
     for subset in combinations(gens, rank):
         pivots, rows = _eliminate([g.vector for g in subset], rhs_list)
         if len(pivots) < rank or any(v for row in rows[rank:] for v in row[rank:]):
@@ -290,30 +285,10 @@ def _certificates(h: EntropyVector, generators: Iterable[Ray]) -> Iterator[Conic
         }
         if any(lam.sign() == Sign.NEGATIVE for lam in lams.values()):
             continue
-        coeffs = {g: lams.get(g, LogLinear.zero()) for g in gens}
-        cert = ConicCertificate(coeffs)
-        if cert.vector() != h:  # exactness guard; algebra should make this unreachable
-            continue
-        key = tuple(coeffs[g] for g in gens)
-        if key not in seen:
-            seen.add(key)
-            yield cert
-
-
-def cone_membership(h: EntropyVector, generators: Iterable[Ray]) -> Optional[ConicCertificate]:
-    """Exact conic decomposition of h over the given generator rays.
-
-    Returns the first all-nonnegative exact certificate under a fixed
-    deterministic enumeration of maximal independent generator subsets, or
-    None when no certificate exists.
-    """
-    return next(_certificates(h, generators), None)
-
-
-def cone_decompositions(h: EntropyVector, generators: Iterable[Ray]) -> list[ConicCertificate]:
-    """Every distinct exact certificate of h over the generators, in the
-    order :func:`cone_membership` meets them; empty when none exists."""
-    return list(_certificates(h, generators))
+        cert = ConicCertificate({g: lams.get(g, LogLinear()) for g in gens})
+        if cert.vector() == h:  # exactness guard; algebra should make it always hold
+            return cert
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .distributions import EntropyVector, JointPMF
 from .logexact import LogLinear
@@ -120,9 +120,6 @@ class SupportSpec:
                 raise ValueError(f"m_{subset_name(alpha)} must be a positive integer, got {self.m[alpha]!r}")
         if len(self.m) != len(order):
             raise ValueError(f"a target size is given for a set that is not a nonempty subset of 1..{self.n}")
-
-    def size(self, alpha: Iterable[int]) -> int:
-        return self.m[frozenset(alpha)]
 
     @property
     def total(self) -> int:
@@ -222,14 +219,21 @@ def structural_hints(h: EntropyVector) -> tuple[FunctionalDependence, ...]:
     pair of disjoint groups with h_base = h_{base|ext}."""
     from .bounds import qu_necessary
 
-    if qu_necessary(h) is None:
+    sizes = qu_necessary(h)
+    if sizes is None:
         raise ValueError("structural hints need a vector of logs of naturals")
-    order = canonical_order(h.n)
+    return _dependences(h.n, sizes)
+
+
+def _dependences(n: int, m: Mapping[Subset, int]) -> tuple[FunctionalDependence, ...]:
+    """Every pair of disjoint groups with m_{base|ext} = m_base, on the
+    integer sizes: log is injective, so this is h_{base|ext} = h_base."""
+    order = canonical_order(n)
     return tuple(
         FunctionalDependence(alpha, beta)
         for alpha in order
         for beta in order
-        if not alpha & beta and h.coord(alpha | beta) == h.coord(alpha)
+        if not alpha & beta and m[alpha | beta] == m[alpha]
     )
 
 
@@ -575,7 +579,7 @@ class _Engine:
 def _check_hints(spec: SupportSpec, hints: Sequence[FunctionalDependence]) -> None:
     """Reject any hint that is not one of the spec's structural hints.  The
     fields must be frozensets too: a set field compares equal to one."""
-    derived = structural_hints(spec.vector())
+    derived = _dependences(spec.n, spec.m)
     for hint in hints:
         if hint not in derived or not all(isinstance(g, frozenset) for g in (hint.base, hint.extension)):
             raise ValueError(f"hint {hint!r} is not one of structural_hints(spec.vector()) with frozensets for fields")

@@ -4,8 +4,9 @@ from importlib import resources
 
 import pytest
 
-from entrocone.distributions import EntropyVector, parse_pmf
-from entrocone.logexact import LogLinear, from_log_int
+from entrocone.distributions import EntropyVector, JointPMF, parse_pmf
+from entrocone.logexact import LogLinear
+from entrocone.subsets import canonical_order, subset_index_map
 
 
 FIXTURES = resources.files("entrocone") / "fixtures"
@@ -31,26 +32,46 @@ def table2_pair_entropy() -> LogLinear:
 
 
 def f_vector() -> EntropyVector:
-    return EntropyVector(3, [from_log_int(m) for m in (4, 4, 4, 16, 16, 16, 48)])
+    return EntropyVector(3, [LogLinear.from_log_int(m) for m in (4, 4, 4, 16, 16, 16, 48)])
 
 
 def g_vector() -> EntropyVector:
     return EntropyVector(
         3,
         [
-            from_log_int(9),
-            from_log_int(9),
-            from_log_int(6),
+            LogLinear.from_log_int(9),
+            LogLinear.from_log_int(9),
+            LogLinear.from_log_int(6),
             table2_pair_entropy(),
-            from_log_int(54),
-            from_log_int(54),
-            from_log_int(216),
+            LogLinear.from_log_int(54),
+            LogLinear.from_log_int(54),
+            LogLinear.from_log_int(216),
         ],
     )
 
 
 def candidate_vector() -> EntropyVector:
-    return EntropyVector(3, [from_log_int(m) for m in (9, 9, 6, 54, 54, 54, 216)])
+    return EntropyVector(3, [LogLinear.from_log_int(m) for m in (9, 9, 6, 54, 54, 54, 216)])
+
+
+def permute_vector(h: EntropyVector, perm) -> EntropyVector:
+    """Coordinate action of relabeling the variables: the coordinate of
+    alpha moves to the subset {perm[i] : i in alpha}."""
+    index = subset_index_map(h.n)
+    out = [None] * len(h.coords)
+    for alpha, c in zip(canonical_order(h.n), h.coords):
+        out[index[frozenset(perm[i] for i in alpha)]] = c
+    return EntropyVector(h.n, out)
+
+
+def permute_variables(pmf: JointPMF, perm) -> JointPMF:
+    """Relabel variable roles: new variable perm[i] plays old variable i."""
+    slot = [0] * pmf.n
+    for i in range(1, pmf.n + 1):
+        slot[perm[i] - 1] = i - 1
+    sizes = [pmf.alphabet_sizes[j] for j in slot]
+    mass = {tuple(x[j] for j in slot): p for x, p in pmf.mass.items()}
+    return JointPMF(sizes, mass)
 
 
 @pytest.fixture
@@ -84,7 +105,7 @@ def random_nonneg_loglinear(rng: random.Random, primes=(2, 3, 5)) -> LogLinear:
     for p in primes:
         num *= p ** rng.randrange(0, 4)
     den = rng.randrange(1, num + 1)
-    return LogLinear.from_log_rational(num, den) if num >= den else LogLinear.zero()
+    return LogLinear.from_log_rational(num, den) if num >= den else LogLinear()
 
 
 def random_loglinear(rng: random.Random, primes=(2, 3, 5, 7)) -> LogLinear:

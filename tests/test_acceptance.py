@@ -21,7 +21,7 @@ from entrocone.distributions import (
     is_quasi_uniform,
     parse_pmf,
 )
-from entrocone.logexact import LogLinear, Sign, from_log_int, from_log_rational
+from entrocone.logexact import LogLinear, Sign
 from entrocone.polycone import (
     RAY_ORDER,
     FacePosition,
@@ -70,7 +70,7 @@ def criterion(num: int, title: str, limit_seconds: float):
 def test_criterion_1_table1_reproduction(table1_pmf):
     with criterion(1, "table-1 reproduction", 1.0):
         ev = entropy_vector(table1_pmf)
-        assert list(ev.coords) == [from_log_int(m) for m in (4, 4, 4, 16, 16, 16, 48)]
+        assert list(ev.coords) == [LogLinear.from_log_int(m) for m in (4, 4, 4, 16, 16, 16, 48)]
         verdict = is_quasi_uniform(table1_pmf)
         assert verdict.is_qu
         expected = dict(zip(canonical_order(3), (4, 4, 4, 16, 16, 16, 48)))
@@ -81,10 +81,10 @@ def test_criterion_2_table2_reproduction(table2_pmf):
     with criterion(2, "table-2 reproduction", 1.0):
         ev = entropy_vector(table2_pmf)
         h12 = (
-            from_log_int(54).scale(Fraction(1, 2))
-            + from_log_int(72).scale(Fraction(1, 4))
-            + from_log_int(108).scale(Fraction(1, 6))
-            + from_log_int(216).scale(Fraction(1, 12))
+            LogLinear.from_log_int(54).scale(Fraction(1, 2))
+            + LogLinear.from_log_int(72).scale(Fraction(1, 4))
+            + LogLinear.from_log_int(108).scale(Fraction(1, 6))
+            + LogLinear.from_log_int(216).scale(Fraction(1, 12))
         )
         assert h12 == table2_pair_entropy()
         assert ev == g_vector()
@@ -106,7 +106,7 @@ def test_criterion_3_theta_pipeline():
         assert (f.coord([1, 2]) - f.coord([1, 2, 3])).sign() != Sign.ZERO
         verdict = theta_in(f)
         assert not verdict.member
-        assert verdict.decomposition.coefficients[Ray.R123P] == from_log_rational(4, 3)
+        assert verdict.decomposition.coefficients[Ray.R123P] == LogLinear.from_log_rational(4, 3)
 
 
 def test_criterion_4_omega_pipeline():
@@ -115,11 +115,11 @@ def test_criterion_4_omega_pipeline():
         c = table2_pair_entropy()
         cert = cone_membership(g, OMEGA_FACE.generators)
         assert cert is not None
-        assert cert.coefficients[Ray.R1] == from_log_int(4)
-        assert cert.coefficients[Ray.R2] == from_log_int(4)
-        assert cert.coefficients[Ray.R3] == from_log_int(216) - c
-        assert cert.coefficients[Ray.R12] == from_log_int(81) - c
-        assert cert.coefficients[Ray.R123P] == c - from_log_int(36)
+        assert cert.coefficients[Ray.R1] == LogLinear.from_log_int(4)
+        assert cert.coefficients[Ray.R2] == LogLinear.from_log_int(4)
+        assert cert.coefficients[Ray.R3] == LogLinear.from_log_int(216) - c
+        assert cert.coefficients[Ray.R12] == LogLinear.from_log_int(81) - c
+        assert cert.coefficients[Ray.R123P] == c - LogLinear.from_log_int(36)
         loc = strict_in_face(g, OMEGA_FACE)
         assert loc.position is FacePosition.STRICTLY_INSIDE
         assert cone_membership(g, THETA_FACE.generators) is None
@@ -129,14 +129,14 @@ def test_criterion_4_omega_pipeline():
         assert not verdict.member
         ceiling, natural = verdict.conditions
         assert not ceiling.holds and not natural.holds
-        assert ceiling.values["lhs"] == from_log_rational(9, 4)
-        assert ceiling.values["rhs"] == from_log_int(3)
+        assert ceiling.values["lhs"] == LogLinear.from_log_rational(9, 4)
+        assert ceiling.values["rhs"] == LogLinear.from_log_int(3)
 
 
 def test_criterion_5_cone_soundness():
     with criterion(5, "cone soundness", 30.0):
         for ray in RAY_ORDER:
-            h = combination({ray: from_log_int(2)})
+            h = combination({ray: LogLinear.from_log_int(2)})
             assert in_gamma_n(h).in_cone
 
         rng = seeded_rng("acceptance-5")
@@ -152,7 +152,7 @@ def test_criterion_5_cone_soundness():
             assert cert.vector() == h
 
         fns = elemental_inequalities(3)
-        bump = from_log_int(2).scale(Fraction(1, 7))
+        bump = LogLinear.from_log_int(2).scale(Fraction(1, 7))
         for k in range(100):
             coeffs = {
                 r: LogLinear({2: Fraction(rng.randrange(0, 7), rng.randrange(1, 3))})
@@ -195,22 +195,22 @@ def test_criterion_6_inner_bound_soundness():
             trials += 1
             assert trials < 20_000
             lam123p = (
-                from_log_int(rng.randrange(1, 6))
+                LogLinear.from_log_int(rng.randrange(1, 6))
                 if rng.random() < 0.5
-                else from_log_rational(rng.randrange(1, 9), rng.randrange(1, 9))
+                else LogLinear.from_log_rational(rng.randrange(1, 9), rng.randrange(1, 9))
             )
             if lam123p.sign() == Sign.NEGATIVE:
                 continue
             coeffs = {
-                Ray.R1: from_log_rational(rng.randrange(1, 9), rng.randrange(1, 3)),
-                Ray.R2: from_log_rational(rng.randrange(1, 9), rng.randrange(1, 3)),
-                Ray.R3: from_log_rational(rng.randrange(1, 9), rng.randrange(1, 3)),
-                Ray.R12: from_log_int(rng.randrange(1, 5)),
+                Ray.R1: LogLinear.from_log_rational(rng.randrange(1, 9), rng.randrange(1, 3)),
+                Ray.R2: LogLinear.from_log_rational(rng.randrange(1, 9), rng.randrange(1, 3)),
+                Ray.R3: LogLinear.from_log_rational(rng.randrange(1, 9), rng.randrange(1, 3)),
+                Ray.R12: LogLinear.from_log_int(rng.randrange(1, 5)),
                 Ray.R123P: lam123p,
             }
             for r in (Ray.R1, Ray.R2, Ray.R3):
                 if coeffs[r].sign() == Sign.NEGATIVE:
-                    coeffs[r] = LogLinear.zero()
+                    coeffs[r] = LogLinear()
             h = combination(coeffs)
             if theta_in(h).member or omega_in(h).member:
                 accepted += 1
@@ -229,11 +229,11 @@ def test_criterion_6_inner_bound_soundness():
             pmf = independent_product(pmf, _modular_triple(m))
             target = combination(
                 {
-                    Ray.R1: from_log_int(k1),
-                    Ray.R2: from_log_int(k2),
-                    Ray.R3: from_log_int(k3),
-                    Ray.R12: from_log_int(k12),
-                    Ray.R123P: from_log_int(m),
+                    Ray.R1: LogLinear.from_log_int(k1),
+                    Ray.R2: LogLinear.from_log_int(k2),
+                    Ray.R3: LogLinear.from_log_int(k3),
+                    Ray.R12: LogLinear.from_log_int(k12),
+                    Ray.R123P: LogLinear.from_log_int(m),
                 }
             )
             assert omega_in(target).member
@@ -249,7 +249,7 @@ def test_criterion_7_search_validation():
         assert outcome.status is SearchStatus.FOUND
         verdict = is_quasi_uniform(outcome.pmf)
         assert verdict.is_qu and verdict.support_sizes == parity_spec.m
-        assert entropy_vector(outcome.pmf) == combination({Ray.R123P: from_log_int(2)})
+        assert entropy_vector(outcome.pmf) == combination({Ray.R123P: LogLinear.from_log_int(2)})
 
         f_spec = spec_from_vector(f_vector())
         t0 = time.perf_counter()

@@ -5,7 +5,6 @@ import pytest
 from entrocone.bounds import (
     OMEGA_FACE,
     THETA_FACE,
-    face_1_123p_entropic,
     face_12_123p_entropic,
     omega_in,
     qu_necessary,
@@ -13,8 +12,8 @@ from entrocone.bounds import (
     theta_in,
 )
 from entrocone.distributions import EntropyVector
-from entrocone.logexact import LogLinear, from_log_int, from_log_rational
-from entrocone.polycone import Ray, combination, in_gamma_n
+from entrocone.logexact import LogLinear
+from entrocone.polycone import Ray, combination, cone_membership, in_gamma_n
 
 from conftest import (
     candidate_vector,
@@ -28,33 +27,35 @@ from conftest import (
 
 class TestRayAndTwoDFaces:
     def test_ray_examples(self):
-        assert ray123p_entropic(from_log_int(5))
-        assert not ray123p_entropic(from_log_rational(4, 3))
-        assert ray123p_entropic(LogLinear.zero())
+        assert ray123p_entropic(LogLinear.from_log_int(5))
+        assert not ray123p_entropic(LogLinear.from_log_rational(4, 3))
+        assert ray123p_entropic(LogLinear())
 
     def test_single_variable_face_examples(self):
-        assert face_1_123p_entropic(from_log_int(3))
-        assert not face_1_123p_entropic(table2_pair_entropy() - from_log_int(36))
-        assert face_1_123p_entropic(LogLinear.zero())
+        # on cone(e1, e123p) the apex ray's criterion decides alone: the
+        # single-variable coefficient, here irrational, is unconstrained
+        c = table2_pair_entropy()
+        for lam123p, expect in ((LogLinear.from_log_int(3), True), (c - LogLinear.from_log_int(36), False), (LogLinear(), True)):
+            cert = cone_membership(combination({Ray.R1: c, Ray.R123P: lam123p}), {Ray.R1, Ray.R123P})
+            assert cert.coefficients == {Ray.R1: c, Ray.R123P: lam123p}
+            assert ray123p_entropic(cert.coefficients[Ray.R123P]) is expect
 
     def test_pair_face_examples(self):
         c = table2_pair_entropy()
-        lam12 = from_log_int(81) - c
-        lam123p = c - from_log_int(36)
+        lam12 = LogLinear.from_log_int(81) - c
+        lam123p = c - LogLinear.from_log_int(36)
         assert not face_12_123p_entropic(lam12, lam123p)
-        assert face_12_123p_entropic(LogLinear.zero(), from_log_int(2))
-        assert face_12_123p_entropic(from_log_int(2), from_log_rational(3, 2))
+        assert face_12_123p_entropic(LogLinear(), LogLinear.from_log_int(2))
+        assert face_12_123p_entropic(LogLinear.from_log_int(2), LogLinear.from_log_rational(3, 2))
 
     def test_negative_inputs_rejected(self):
-        neg = from_log_rational(1, 2)
+        neg = LogLinear.from_log_rational(1, 2)
         with pytest.raises(ValueError):
             ray123p_entropic(neg)
         with pytest.raises(ValueError):
-            face_1_123p_entropic(neg)
+            face_12_123p_entropic(neg, LogLinear())
         with pytest.raises(ValueError):
-            face_12_123p_entropic(neg, LogLinear.zero())
-        with pytest.raises(ValueError):
-            face_12_123p_entropic(LogLinear.zero(), neg)
+            face_12_123p_entropic(LogLinear(), neg)
 
 
 class TestThetaIn:
@@ -62,18 +63,18 @@ class TestThetaIn:
         verdict = theta_in(f_vector())
         assert not verdict.member
         assert verdict.decomposition is not None
-        assert verdict.decomposition.coefficients[Ray.R123P] == from_log_rational(4, 3)
+        assert verdict.decomposition.coefficients[Ray.R123P] == LogLinear.from_log_rational(4, 3)
         (cond,) = verdict.conditions
         assert cond.name == "natural_123p" and not cond.holds
 
     def test_accepted_member(self):
-        h = combination({Ray.R1: from_log_int(3), Ray.R123P: from_log_int(2)})
+        h = combination({Ray.R1: LogLinear.from_log_int(3), Ray.R123P: LogLinear.from_log_int(2)})
         verdict = theta_in(h)
         assert verdict.member
         assert verdict.conditions[0].values["natural"] == 2
 
     def test_zero_vector_accepted(self):
-        zero = EntropyVector(3, [LogLinear.zero()] * 7)
+        zero = EntropyVector(3, [LogLinear()] * 7)
         verdict = theta_in(zero)
         assert verdict.member
         assert verdict.conditions[0].values["natural"] == 1
@@ -86,7 +87,7 @@ class TestThetaIn:
 
     def test_membership_depends_only_on_apex_coefficient(self):
         rng = seeded_rng("theta-scaling")
-        for lam123p, expect in ((from_log_int(3), True), (from_log_rational(7, 2), False)):
+        for lam123p, expect in ((LogLinear.from_log_int(3), True), (LogLinear.from_log_rational(7, 2), False)):
             for _ in range(10):
                 coeffs = {
                     Ray.R1: random_nonneg_loglinear(rng),
@@ -103,8 +104,8 @@ class TestOmegaIn:
         assert not verdict.member
         ceiling, natural = verdict.conditions
         assert ceiling.name == "ceiling_12_123p" and not ceiling.holds
-        assert ceiling.values["lhs"] == from_log_rational(9, 4)
-        assert ceiling.values["rhs"] == from_log_int(3)
+        assert ceiling.values["lhs"] == LogLinear.from_log_rational(9, 4)
+        assert ceiling.values["rhs"] == LogLinear.from_log_int(3)
         assert ceiling.values["ceiling"] == 3
         assert natural.name == "natural_123p" and not natural.holds
         assert natural.values["natural"] is None
@@ -112,11 +113,11 @@ class TestOmegaIn:
     def test_candidate_vector_accepted_via_ceiling(self):
         h = combination(
             {
-                Ray.R1: from_log_int(4),
-                Ray.R2: from_log_int(4),
-                Ray.R3: from_log_int(4),
-                Ray.R12: from_log_rational(3, 2),
-                Ray.R123P: from_log_rational(3, 2),
+                Ray.R1: LogLinear.from_log_int(4),
+                Ray.R2: LogLinear.from_log_int(4),
+                Ray.R3: LogLinear.from_log_int(4),
+                Ray.R12: LogLinear.from_log_rational(3, 2),
+                Ray.R123P: LogLinear.from_log_rational(3, 2),
             }
         )
         assert list(h.coords) == list(candidate_vector().coords)
@@ -129,7 +130,7 @@ class TestOmegaIn:
     def test_f_embedded_in_omega_matches_theta_verdict(self):
         verdict = omega_in(f_vector())
         assert not verdict.member
-        assert verdict.decomposition.coefficients[Ray.R12] == LogLinear.zero()
+        assert verdict.decomposition.coefficients[Ray.R12] == LogLinear()
         assert all(not c.holds for c in verdict.conditions)
 
     def test_theta_members_are_omega_members(self):
@@ -139,7 +140,7 @@ class TestOmegaIn:
                 Ray.R1: random_nonneg_loglinear(rng),
                 Ray.R2: random_nonneg_loglinear(rng),
                 Ray.R3: random_nonneg_loglinear(rng),
-                Ray.R123P: from_log_int(rng.randrange(1, 6)),
+                Ray.R123P: LogLinear.from_log_int(rng.randrange(1, 6)),
             }
             h = combination(coeffs)
             assert theta_in(h).member
@@ -164,7 +165,7 @@ class TestSoundness:
                 assert in_gamma_n(h).in_cone
 
     def test_ray_consistency_with_theta(self):
-        for lam in (LogLinear.zero(), from_log_int(4), from_log_rational(5, 3)):
+        for lam in (LogLinear(), LogLinear.from_log_int(4), LogLinear.from_log_rational(5, 3)):
             h = combination({Ray.R123P: lam})
             assert theta_in(h).member is ray123p_entropic(lam)
 

@@ -333,6 +333,17 @@ class TestCatalogAndUsage:
         assert time.monotonic() - start < 2
         assert proc.returncode in (0, EX_DATAERR)
 
+    def test_huge_exponent_coefficient_is_bounded(self, tmp_path):
+        # "1e200000000" names a coefficient of 2 * 10**8 digits, which
+        # Fraction would build; only integers and num/den are read
+        vec = tmp_path / "big.vec"
+        vec.write_text(_vec_with_first({"log_terms": {"2": "1e200000000"}}))
+        start = time.monotonic()
+        proc = run_subprocess("-m", "entrocone.cli", "gamma", str(vec))
+        assert time.monotonic() - start < 2
+        assert proc.returncode == EX_DATAERR
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("command", ["gamma", "spec"])
     def test_integer_above_factoring_cap_is_data_error(self, tmp_path, capsys, command):
         vec = tmp_path / "huge.vec"
@@ -423,6 +434,7 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         "above_factoring_cap": f"pmf n=1 sizes=2\n0 : 1/{_BIG}\n1 : {_BIG - 1}/{_BIG}\n",
         "n7": "pmf n=7 sizes=1,1,1,1,1,1,1\n0 0 0 0 0 0 0 : 1/1\n",
         "zero_denominator": "pmf n=3 sizes=1,1,2\n0 0 0 : 1/2\n0 0 1 : 1/0\n",
+        "non_ascii_digit": "pmf n=1 sizes=2\n\u00b2 : 1/2\n1 : 1/2\n".encode(),  # "\u00b2".isdigit() holds
     },
     "vec": {
         "missing_file": None,

@@ -17,13 +17,20 @@ from entrocone.distributions import (
     is_quasi_uniform,
     marginalize,
     parse_pmf,
-    permute_variables,
     serialize_pmf,
 )
-from entrocone.logexact import LogLinear, from_log_int
+from entrocone.logexact import LogLinear
 from entrocone.polycone import in_gamma_n
 
-from conftest import f_vector, g_vector, table2_pair_entropy, seeded_rng
+from conftest import (
+    f_vector,
+    fixture_text,
+    g_vector,
+    permute_variables,
+    permute_vector,
+    seeded_rng,
+    table2_pair_entropy,
+)
 
 
 def uniform_on(support, sizes):
@@ -117,11 +124,11 @@ class TestMarginalization:
 class TestEntropy:
     def test_uniform_support(self):
         pmf = uniform_on([(i,) for i in range(48)], [48])
-        assert entropy(pmf) == from_log_int(48)
+        assert entropy(pmf) == LogLinear.from_log_int(48)
 
     def test_point_mass(self):
         pmf = JointPMF([3], {(1,): Fraction(1)})
-        assert entropy(pmf) == LogLinear.zero()
+        assert entropy(pmf) == LogLinear()
 
     def test_table2_pair_entropy_is_table2_pair_entropy(self, table2_pmf):
         h12 = entropy(marginalize(table2_pmf, [1, 2]))
@@ -137,7 +144,7 @@ class TestEntropy:
     def test_two_independent_bits(self):
         pmf = uniform_on([(a, b) for a in range(2) for b in range(2)], [2, 2])
         ev = entropy_vector(pmf)
-        assert list(ev.coords) == [from_log_int(2), from_log_int(2), from_log_int(4)]
+        assert list(ev.coords) == [LogLinear.from_log_int(2), LogLinear.from_log_int(2), LogLinear.from_log_int(4)]
 
     def test_builds_one_value_per_distinct_count_plus_two(self, table1_pmf, table2_pmf, count_values):
         for pmf in (table1_pmf, table2_pmf, marginalize(table2_pmf, [1, 2])):
@@ -163,7 +170,7 @@ class TestEntropyVector:
     def test_permutation_action(self, table2_pmf):
         perm = {1: 2, 2: 3, 3: 1}
         direct = entropy_vector(permute_variables(table2_pmf, perm))
-        assert direct == entropy_vector(table2_pmf).permute(perm)
+        assert direct == permute_vector(entropy_vector(table2_pmf), perm)
 
     def test_outputs_are_polymatroidal(self):
         rng = seeded_rng("gamma")
@@ -201,7 +208,7 @@ class TestQuasiUniform:
         v = is_quasi_uniform(table1_pmf)
         ev = entropy_vector(table1_pmf)
         for alpha, m in v.support_sizes.items():
-            assert ev.coord(alpha) == from_log_int(m)
+            assert ev.coord(alpha) == LogLinear.from_log_int(m)
 
 
 class TestFileFormat:
@@ -243,16 +250,28 @@ class TestFileFormat:
             parse_pmf(text)
         assert fragment in str(exc.value)
 
-    def test_named_symbols_match_indices(self, table1_pmf):
-        # the letter presentation and the index presentation parse equally
-        text = serialize_pmf(table1_pmf)
-        relabeled = text.replace("names 1=a,b,c,d\n", "").replace(" a", " 0").replace(" b", " 1")
-        # only a smoke check that names are presentation-level
-        assert parse_pmf(text) == table1_pmf
+    def test_named_symbols_match_indices(self):
+        # names lines map each letter to its index: the fixture, and the same
+        # text with its names lines dropped and every letter replaced by its
+        # index, parse to equal PMFs
+        text = fixture_text("table1.pmf")
+        assert "names 1=a,b,c,d" in text
+        lines = []
+        for line in text.splitlines():
+            if line.startswith("names"):
+                continue
+            if ":" in line and not line.startswith("#"):
+                symbols, _, mass = line.partition(":")
+                line = " ".join(str("abcd".index(s)) for s in symbols.split()) + " :" + mass
+            lines.append(line)
+        indexed = "\n".join(lines)
+        assert "names" not in indexed and "a a a" not in indexed
+        assert parse_pmf(indexed) == parse_pmf(text)
+        assert len(parse_pmf(indexed).mass) == 48
 
 
 @given(st.integers(min_value=1, max_value=5))
 @settings(max_examples=10, deadline=None)
 def test_uniform_entropy_is_log_size(k):
     pmf = uniform_on([(i,) for i in range(k)], [k])
-    assert entropy(pmf) == from_log_int(k)
+    assert entropy(pmf) == LogLinear.from_log_int(k)

@@ -9,7 +9,7 @@ import pytest
 
 from entrocone import qusearch
 from entrocone.distributions import entropy_vector, independent_product, is_quasi_uniform
-from entrocone.logexact import from_log_int
+from entrocone.logexact import LogLinear
 from entrocone.polycone import in_gamma_n
 from entrocone.qusearch import (
     _Engine,
@@ -45,7 +45,7 @@ def assert_realizes(outcome, spec):
     assert verdict.is_qu
     assert verdict.support_sizes == spec.m
     ev = entropy_vector(outcome.pmf)
-    assert list(ev.coords) == [from_log_int(spec.m[a]) for a in canonical_order(spec.n)]
+    assert list(ev.coords) == [LogLinear.from_log_int(spec.m[a]) for a in canonical_order(spec.n)]
 
 
 class TestSpecFromVector:
@@ -233,6 +233,16 @@ class TestSearch:
         # the feasibility check compares products of sizes and factors none
         outcome = search(SupportSpec(1, {frozenset({1}): 3 * (2**89 - 1)}), Budget(max_nodes=10))
         assert (outcome.status, outcome.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 11)
+
+    def test_hinted_search_factors_no_size(self):
+        # the hint is checked on the integer sizes: X2 is a function of X1
+        big = 3 * (2**89 - 1)
+        spec = mkspec(2, [big, 1, big])
+        fd = FunctionalDependence(frozenset({1}), frozenset({2}))
+        outcome = search(spec, Budget(max_nodes=10), hints=[fd])
+        assert (outcome.status, outcome.nodes_explored) == (SearchStatus.BUDGET_EXCEEDED, 11)
+        with pytest.raises(ValueError, match="too large"):
+            structural_hints(spec.vector())
 
     @pytest.mark.parametrize("kwargs", [
         {"max_nodes": 0},
@@ -496,6 +506,16 @@ class TestHints:
             search(PARITY_SPEC, hints=[FunctionalDependence(frozenset({0}), frozenset({4}))])
         with pytest.raises(ValueError):
             search(PARITY_SPEC, hints=["not a hint"])
+
+    def test_hint_check_matches_structural_hints_on_verdict_table(self):
+        # the check compares integer sizes, structural_hints the exact logs
+        hinted = 0
+        for row in VERDICTS["specs"]:
+            spec = mkspec(3, row["m"])
+            derived = qusearch._dependences(spec.n, spec.m)
+            assert derived == structural_hints(spec.vector()), row["m"]
+            hinted += bool(derived)
+        assert hinted > 0
 
     def test_spec_vector_is_log_sizes(self):
         assert F_SPEC.vector() == f_vector()
