@@ -129,34 +129,23 @@ def entropy(pmf: JointPMF) -> LogLinear:
     )
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class EntropyVector:
     """Exact entries ``h_alpha`` for all nonempty subsets, canonical order."""
 
-    __slots__ = ("n", "coords")
+    n: int
+    coords: tuple[LogLinear, ...]
 
-    def __init__(self, n: int, coords: Sequence[LogLinear]):
-        order = canonical_order(n)
-        coords = tuple(coords)
-        if len(coords) != len(order):
-            raise ValueError(f"need {len(order)} coordinates for n={n}, got {len(coords)}")
-        if not all(isinstance(c, LogLinear) for c in coords):
+    def __post_init__(self) -> None:
+        order = canonical_order(self.n)
+        object.__setattr__(self, "coords", tuple(self.coords))
+        if len(self.coords) != len(order):
+            raise ValueError(f"need {len(order)} coordinates for n={self.n}, got {len(self.coords)}")
+        if not all(isinstance(c, LogLinear) for c in self.coords):
             raise TypeError("coordinates must be LogLinear values")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EntropyVector is immutable")
 
     def coord(self, alpha: Iterable[int]) -> LogLinear:
         return self.coords[subset_index_map(self.n)[frozenset(alpha)]]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EntropyVector):
-            return NotImplemented
-        return self.n == other.n and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.n, self.coords))
 
     def __add__(self, other: "EntropyVector") -> "EntropyVector":
         if not isinstance(other, EntropyVector) or other.n != self.n:
@@ -307,10 +296,7 @@ def parse_pmf(text: str) -> JointPMF:
         raise PMFFormatError("empty input: missing 'pmf' header")
     if not mass:
         raise PMFFormatError("no support points given")
-    try:
-        return JointPMF(sizes, mass)
-    except PMFFormatError as exc:
-        raise PMFFormatError(str(exc)) from None
+    return JointPMF(sizes, mass)
 
 
 def serialize_pmf(pmf: JointPMF) -> str:

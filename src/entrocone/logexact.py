@@ -70,6 +70,11 @@ _ANTILOG_LN_CAP = _ANTILOG_BITS_CAP * Fraction(math.log(2))
 # a coefficient string is an integer or num/den; Fraction would also read
 # decimals and exponents such as "1e200000000", whose expansion is unbounded
 _COEFF_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# a prime key is ASCII digits; int() would also read "1_1", " 3 " and "+5"
+_DIGITS_RE = re.compile(r"[0-9]+")
+# a file's coefficients stay below 2**_COEFF_BITS, so a combination of a
+# vector's coordinates prints under the int-to-str limit
+_COEFF_BITS = 1024
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -102,24 +107,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
-    if n < _TRIAL_BOUND ** 2:
-        if n < 4:
-            return n > 1
-        if n % 2 == 0:
-            return False
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-    if any(n % p == 0 for p in _TRIAL_PRIMES):
-        return False
-    _check_cap(n)
-    return _miller_rabin(n)
+    return n > 1 and _factorize(n) == {n: 1}
 
 
-_TRIAL_PRIMES = tuple(filter(_is_prime, range(_TRIAL_BOUND)))
+_TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
 def _check_cap(n: int) -> None:
@@ -218,12 +209,11 @@ class LogLinear:
     a rational) stays inside the class; comparisons are exact and decidable.
     """
 
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Fraction | int | str] = ()):
+    def __init__(self, terms: Mapping[int, Fraction | int | str] = {}):
         canonical: dict[int, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for p, q in items:
+        for p, q in terms.items():
             p = int(p)
             q = Fraction(q)
             if q == 0:
@@ -231,8 +221,8 @@ class LogLinear:
             if not _is_prime(p):
                 raise ValueError(f"key {p} is not prime")
             canonical[p] = canonical.get(p, 0) + q
-        object.__setattr__(self, "_terms", {p: q for p, q in sorted(canonical.items()) if q != 0})
-        object.__setattr__(self, "_key", tuple(self._terms.items()))
+        # the sorted (prime, coefficient) pairs: the canonical form
+        object.__setattr__(self, "_terms", tuple(sorted((p, q) for p, q in canonical.items() if q != 0)))
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("LogLinear values are immutable")
@@ -264,15 +254,15 @@ class LogLinear:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogLinear):
             return NotImplemented
-        return self._key == other._key
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._terms)
 
     def __repr__(self) -> str:
         if not self._terms:
             return "LogLinear(0)"
-        parts = [f"{q}*log({p})" for p, q in self._terms.items()]
+        parts = [f"{q}*log({p})" for p, q in self._terms]
         return "LogLinear(" + " + ".join(parts) + ")"
 
     # -- linear structure -------------------------------------------------
@@ -304,7 +294,7 @@ class LogLinear:
         or its antilog if both ends are within ``_ANTILOG_LN_CAP`` of zero."""
         near, down, up = _contexts(prec)
         lo = hi = decimal.Decimal(0)
-        for p, q in self._terms.items():
+        for p, q in self._terms:
             ln = near.ln(p)
             ln_lo, ln_hi = near.next_minus(ln), near.next_plus(ln)
             if q < 0:
@@ -321,11 +311,11 @@ class LogLinear:
         """The antilog ``prod p**q_p`` as an exact fraction if every q_p is an
         integer and ``sum |q_p| * log2 p`` is within _ANTILOG_BITS_CAP, else None."""
         # the first test also keeps the float sum below from overflowing
-        if any(q.denominator != 1 or abs(q) > _ANTILOG_BITS_CAP for q in self._terms.values()) or (
-            sum(abs(q) * math.log2(p) for p, q in self._terms.items()) > _ANTILOG_BITS_CAP
+        if any(q.denominator != 1 or abs(q) > _ANTILOG_BITS_CAP for _, q in self._terms) or (
+            sum(abs(q) * math.log2(p) for p, q in self._terms) > _ANTILOG_BITS_CAP
         ):
             return None
-        return math.prod((Fraction(p) ** q.numerator for p, q in self._terms.items()), start=Fraction(1))
+        return math.prod((Fraction(p) ** q.numerator for p, q in self._terms), start=Fraction(1))
 
     def _refine(self, decide: Callable[[int], Optional[_T]], what: str) -> _T:
         """First non-None ``decide(prec)`` at doubling precision; None means
@@ -368,14 +358,14 @@ class LogLinear:
         Holds exactly when every coefficient is a nonnegative integer; the
         zero value is ``log 1``.
         """
-        if any(q.denominator != 1 or q < 0 for q in self._terms.values()):
+        if any(q.denominator != 1 or q < 0 for _, q in self._terms):
             return None
         return self.as_log_fraction().numerator
 
     def as_log_fraction(self) -> Optional[Fraction]:
         """Return ``x`` as an exact fraction iff the value is ``log x`` with
         ``x`` rational, i.e. iff every coefficient is an integer."""
-        if any(q.denominator != 1 for q in self._terms.values()):
+        if any(q.denominator != 1 for _, q in self._terms):
             return None
         if (x := self._exact_antilog()) is None:
             raise ValueError(f"antilog of {self!r} exceeds 2**{_ANTILOG_BITS_CAP}")
@@ -413,7 +403,8 @@ class LogLinear:
         if antilog:
             exact = self._exact_antilog()
         else:
-            exact = self._terms.get(2, Fraction(0)) if all(p == 2 for p in self._terms) else None
+            terms = dict(self._terms)
+            exact = terms.get(2, Fraction(0)) if terms.keys() <= {2} else None
         if exact is not None:
             scaled = round(exact * scalepow)  # ties to even
             return _format_scaled(scaled, digits)
@@ -445,7 +436,7 @@ class LogLinear:
     def to_json(self) -> dict:
         """JSON object with exact terms plus an advisory bits rendering."""
         return {
-            "log_terms": {str(p): f"{q.numerator}/{q.denominator}" for p, q in self._terms.items()},
+            "log_terms": {str(p): f"{q.numerator}/{q.denominator}" for p, q in self._terms},
             "bits_approx": self.approx_bits(4),
         }
 
@@ -457,19 +448,20 @@ class LogLinear:
             raise ValueError("'log_terms' must be an object mapping primes to coefficients")
         terms = {}
         for key, val in obj["log_terms"].items():
-            try:
-                p = int(key)
-            except ValueError:
-                raise ValueError(f"prime key {key!r} is not an integer") from None
+            if not (isinstance(key, str) and _DIGITS_RE.fullmatch(key)):
+                raise ValueError(f"prime key {key!r} is not written in ASCII digits")
+            p = int(key)
             if p in terms:
                 raise ValueError(f"prime {p} is named twice")
             # a JSON float is already rounded
             if not (type(val) is int or isinstance(val, str) and _COEFF_RE.fullmatch(val)):
                 raise ValueError(f"coefficient {val!r} of prime {key!r} must be a 'num/den' string or an integer")
             try:
-                terms[p] = Fraction(val)
+                q = terms[p] = Fraction(val)
             except ZeroDivisionError:
                 raise ValueError(f"coefficient {val!r} of prime {key!r} has a zero denominator") from None
+            if max(abs(q.numerator), q.denominator) >> _COEFF_BITS:
+                raise ValueError(f"coefficient of prime {key!r} has a numerator or denominator of 2**{_COEFF_BITS} or more")
         return cls(terms)
 
 
@@ -487,6 +479,6 @@ def dot(coeffs: Iterable, values: Iterable[LogLinear]) -> LogLinear:
     for c, v in zip(coeffs, values):
         c = Fraction(c)
         if c:
-            for p, q in v._terms.items():
+            for p, q in v._terms:
                 merged[p] = merged.get(p, 0) + c * q
     return LogLinear(merged)

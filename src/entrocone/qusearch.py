@@ -46,9 +46,9 @@ on these counters:
   functional dependence, so a point may join a realized fiber of the
   group only inside the one joint fiber already realized there.  Only the
   dependences that :func:`structural_hints` finds in the target are
-  accepted, since any other hint could prune every realization.  Hints
-  become per-cell tuples of fiber slots checked on the same arrays; they
-  are empty without hints, so hinted and plain runs share one code path.
+  accepted, since any other hint could prune every realization.  A hint is
+  a pair of subsets whose fibers are read from the block's own tuple; the
+  list is empty without hints, so hinted and plain runs share one path.
 
 The walk over cells breaks symmetry by canonical relabeling: each
 variable's symbols must appear in increasing order of first use along the
@@ -296,11 +296,11 @@ class _Engine:
     index; an orbit meets fibers all over the grid, so each takes the next
     free slot when first met.  The full set's fibers hold no slot: their one
     live rule, enough blocks left for the points still needed, is a count in
-    :meth:`_advance`.  A cell's ``fd_checks`` tuple holds one
-    ``(base slot, joint slot)`` pair per functional dependence hint:
-    including the cell needs the joint fiber realized whenever the base
-    fiber is.  A hint joint to the full set is dropped, as its base has
-    quota 1 and the overflow rule already rejects those placements.
+    :meth:`_advance`.  ``fd`` holds one ``(base, joint)`` pair of subset
+    indices per functional dependence hint: including a cell needs its
+    joint fiber realized whenever its base fiber is.  A hint joint to the
+    full set is dropped, as its base has quota 1 and the overflow rule
+    already rejects those placements.
     :meth:`_extend` builds the per-block tables and slots in doubling chunks
     as the frontier reaches them.  :meth:`run` walks the tree in one loop
     and resumes a walk that it stopped at its node limit;
@@ -357,7 +357,6 @@ class _Engine:
         joints = [(h.base, h.base | h.extension) for h in hints]
         self.fd = [(sub_index[base], sub_index[joint]) for base, joint in joints if joint in sub_index]
         self.block_fibers: list[tuple[tuple[int, int], ...]] = []
-        self.fd_checks: list[tuple[tuple[int, int], ...]] = []
         # the walk: nodes visited, the frontier and the branch stack
         self.nodes = 0
         self.ci = 0
@@ -408,8 +407,6 @@ class _Engine:
         # with n = 1 there is no proper subset, and a block has no fiber
         chunk = list(zip(*columns)) or [()] * (hi - lo)
         self.block_fibers += chunk
-        fd = self.fd
-        self.fd_checks += [tuple((fb[b][1], fb[j][1]) for b, j in fd) for fb in chunk] if fd else [()] * len(chunk)
         return len(self.block_fibers)
 
     # -- frontier advance past an excluded block -----------------------------
@@ -465,8 +462,8 @@ class _Engine:
             c = counts[f]
             if c >= quota[a] or not c and realized[a] >= target[a]:
                 return None
-        for base, joint in self.fd_checks[ci]:
-            if counts[base] and not counts[joint]:
+        for base, joint in self.fd:
+            if counts[fibers[base][1]] and not counts[fibers[joint][1]]:
                 return None
 
         # place the points and move the frontier in one pass: the points are

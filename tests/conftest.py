@@ -114,3 +114,20 @@ def random_loglinear(rng: random.Random, primes=(2, 3, 5, 7)) -> LogLinear:
         if rng.random() < 0.6:
             terms[p] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
     return LogLinear(terms)
+
+
+def round_log3_2(x: int) -> int:
+    """``round(x * log_3 2)`` for a positive integer x: log_3 2 is
+    atanh(1/3) / atanh(1/2), whose series are summed in integers to 20
+    digits more than x has, far more than the truncation of the terms costs."""
+    one = 10 ** (len(str(x)) + 20)
+
+    def atanh_inv(n: int) -> int:  # one * atanh(1/n), each term truncated
+        total, power, k = 0, one // n, 1
+        while power:
+            total += power // k
+            power //= n * n
+            k += 2
+        return total
+
+    return (2 * x * atanh_inv(3) + atanh_inv(2)) // (2 * atanh_inv(2))

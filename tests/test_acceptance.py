@@ -293,6 +293,34 @@ def test_criterion_8_open_problem_fixture():
         assert entropy_vector(outcome.pmf) == vec
 
 
+def test_criterion_9_inner_bounds_are_loose():
+    # The support {(a, b, (a+b+t) mod k) : t < j} is quasi-uniform with sizes
+    # (k,k,k,k^2,k^2,k^2,j*k^2), so its entropy vector is entropic and is the
+    # log-size vector.  On theta's face it is log j * (e1 + e2 + e3) +
+    # log(k/j) * e123': strictly inside for 2 <= j < k, and both inner bounds
+    # accept it exactly when k/j is a natural.  So for every k with a j that
+    # does not divide it, theta and omega reject an entropic vector of their
+    # face: 43 witnesses for k <= 12.
+    with criterion(9, "inner bounds are loose", 10.0):
+        rejected = 0
+        for k in range(2, 13):
+            for j in range(2, k):
+                support = {(a, b, (a + b + t) % k) for a in range(k) for b in range(k) for t in range(j)}
+                verdict = is_quasi_uniform(JointPMF((k, k, k), dict.fromkeys(support, Fraction(1, len(support)))))
+                assert verdict.is_qu
+                sizes = (k, k, k, k * k, k * k, k * k, j * k * k)
+                assert verdict.support_sizes == dict(zip(canonical_order(3), sizes))
+                h = SupportSpec(3, verdict.support_sizes).vector()
+                assert strict_in_face(h, THETA_FACE).position is FacePosition.STRICTLY_INSIDE
+                theta, omega = theta_in(h), omega_in(h)
+                assert theta.member == omega.member == (k % j == 0)
+                if k % j:
+                    rejected += 1
+                    assert [c.name for c in theta.conditions if not c.holds] == ["natural_123p"]
+                    assert [c.name for c in omega.conditions if not c.holds] == ["ceiling_12_123p", "natural_123p"]
+        assert rejected == 43
+
+
 def test_candidate_witness_fixture():
     # closed form, no search: cell (x1,x2) is used iff d = (x2-x1) mod 9 < 6,
     # and then holds the four x3 in 0..5 outside {2k, 2k+1}, k = d // 2

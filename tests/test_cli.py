@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from entrocone import cli
+from entrocone import cli, logexact
 from entrocone.cli import (
     EX_DATAERR,
     EX_FALSE,
@@ -22,7 +22,7 @@ from entrocone.cli import (
 from entrocone.distributions import parse_pmf
 from entrocone.logexact import LogLinear, PrecisionExhausted
 
-from conftest import FIXTURES, g_vector
+from conftest import FIXTURES, g_vector, round_log3_2
 
 
 def fx(name: str) -> str:
@@ -413,6 +413,20 @@ class TestExitCodes:
         assert code == EX_INCONCLUSIVE and captured.out == ""
         assert captured.err == "entrocone: unresolved\n"
 
+    def test_unresolved_sign_is_inconclusive(self, tmp_path, monkeypatch, capsys):
+        # h1 = log 2 + x on the vector of three independent bits, where
+        # x = 2**90 log 2 - b log 3 < 0 needs more than 64 bits to sign, so
+        # the inequalities I(1;2) = x and I(2;3|1) = -x are not settled there
+        x = {"2": 2**90 + 1, "3": -round_log3_2(2**90)}
+        vec = tmp_path / "tiny.vec"
+        vec.write_text(json.dumps({"n": 3, "coords": [{"log_terms": x}, *_VEC_COORDS[1:]]}))
+        assert run(capsys, "gamma", str(vec))[0] == EX_FALSE
+        monkeypatch.setattr(logexact, "_PREC_CAP", 64)
+        code = main(["gamma", str(vec)])
+        captured = capsys.readouterr()
+        assert code == EX_INCONCLUSIVE and captured.out == ""
+        assert captured.err.startswith("entrocone: sign of ") and captured.err.endswith(" unresolved at 64 bits\n")
+
 
 BAD = object()  # stands for the bad input file in an argv
 _GOOD_INPUT = {"pmf": "table1.pmf", "vec": "f.vec", "spec": "spec_f.json"}
@@ -454,6 +468,18 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         # json.dumps cannot repeat a key, so the repeats are spliced in
         "repeated_key": '{"n": 3, ' + json.dumps({"n": 3, "coords": _VEC_COORDS})[1:],
         "repeated_prime": _vec_with_first({"log_terms": {"2": "1/1"}}).replace('"2": "1/1"', '"2": "1/1", "2": "5/1"'),
+        "prime_not_in_ascii_digits": _vec_with_first({"log_terms": {"1_1": "1/1"}}),  # int() reads log 11
+        # coefficients of 2**1024 or more: a violated inequality whose value
+        # had a 4,401-digit denominator could not be printed (exit 70), and
+        # h1 = 10**2500 log 2 - round(10**2500 log_3 2) log 3 took gamma 13 s
+        "huge_denominators": json.dumps({"n": 3, "coords": ["log 2"] * 5 + [
+            {"log_terms": {"2": f"1/{10**2200 + 3}", "3": "5/1"}},
+            {"log_terms": {"2": f"1/{10**2200 + 1}"}},
+        ]}),
+        "huge_coefficients": json.dumps({"n": 3, "coords": [
+            {"log_terms": {"2": str(10**2500), "3": str(-round_log3_2(10**2500))}},
+            *["log 2"] * 6,
+        ]}),
     },
     "spec": {
         "missing_file": None,

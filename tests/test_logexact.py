@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrocone import logexact
 from entrocone.logexact import (
     _ANTILOG_BITS_CAP,
     _PREC_START,
     LogLinear,
+    PrecisionExhausted,
     Sign,
     dot,
 )
 
-from conftest import table2_pair_entropy, random_loglinear, seeded_rng
+from conftest import round_log3_2, table2_pair_entropy, random_loglinear, seeded_rng
 
 
 fractions_st = st.fractions(
@@ -186,6 +188,17 @@ class TestSign:
         assert abs(x) < 1e-4
         assert diff.sign() == (Sign.POSITIVE if x > 0 else Sign.NEGATIVE)
 
+    def test_precision_cap_is_reached(self, monkeypatch):
+        # with b = round(2**90 * log_3 2), 2**90 * ln 2 - b * ln 3 is at most
+        # ln 3 / 2 in size, and a 64-bit enclosure of 2**90 * ln 2 alone is
+        # wider than that, so only a higher precision settles the sign
+        b = round_log3_2(2**90)
+        v = LogLinear({2: 2**90, 3: -b})
+        assert v.sign() == Sign.NEGATIVE and 2**90 < b * LOG2_3
+        monkeypatch.setattr(logexact, "_PREC_CAP", 64)
+        with pytest.raises(PrecisionExhausted, match="sign of .* unresolved at 64 bits"):
+            v.sign()
+
     def test_sign_matches_float_on_random_values(self):
         rng = seeded_rng("sign")
         checked = 0
@@ -294,11 +307,26 @@ class TestJson:
             ({"2": "1/1", "02": "5/1"}, "prime 2 is named twice"),
             ({"2": "1e5"}, "must be a 'num/den' string or an integer"),  # Fraction would expand the exponent
             ({"2": "0.5"}, "must be a 'num/den' string or an integer"),
+            ({"1_1": "1/1"}, "not written in ASCII digits"),  # int() reads it as 11
+            ({" 3 ": "1/1"}, "not written in ASCII digits"),
+            ({"+5": "1/1"}, "not written in ASCII digits"),
+            ({"\u0663": "1/1"}, "not written in ASCII digits"),  # Arabic-Indic three
+            ({"": "1/1"}, "not written in ASCII digits"),
+            ({"2": f"1/{2**1024}"}, r"denominator of 2\*\*1024 or more"),
+            ({"2": f"-{2**1024}"}, r"numerator or denominator of 2\*\*1024"),
+            ({"2": 2**1024}, r"numerator or denominator of 2\*\*1024"),
         ],
     )
     def test_rejects_inexact_or_ambiguous_terms(self, terms, fragment):
         with pytest.raises(ValueError, match=fragment):
             LogLinear.from_json({"log_terms": terms})
+
+    def test_coefficients_below_the_bound_are_read(self):
+        big = 2**1024 - 1
+        terms = {"2": f"-{big}/{big - 2}", "3": big, "05": "1/1"}
+        assert LogLinear.from_json({"log_terms": terms}) == LogLinear({2: Fraction(-big, big - 2), 3: big, 5: 1})
+        # the bound is on the reduced fraction
+        assert LogLinear.from_json({"log_terms": {"2": f"{2**1024}/{2**1024}"}}) == LogLinear({2: 1})
 
 
 # log2(3) to 100 decimals, recorded once with mpmath 1.3.0 at mp.dps = 200
