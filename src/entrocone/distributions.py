@@ -63,12 +63,14 @@ class JointPMF:
             raise PMFFormatError("alphabet sizes must be positive")
         clean: dict[tuple[int, ...], Fraction] = {}
         for point, p in mass.items():
-            point = tuple(int(x) for x in point)
-            p = Fraction(p)
+            point = tuple(map(int, point))
+            if type(p) is not Fraction:
+                p = Fraction(p)
             if len(point) != len(sizes):
                 raise PMFFormatError(f"support point {point} has wrong arity")
-            if any(not 0 <= x < s for x, s in zip(point, sizes)):
-                raise PMFFormatError(f"support point {point} outside alphabets {sizes}")
+            for x, s in zip(point, sizes):
+                if not 0 <= x < s:
+                    raise PMFFormatError(f"support point {point} outside alphabets {sizes}")
             if p.numerator <= 0:  # a Fraction keeps its sign in the numerator
                 raise PMFFormatError(f"mass of {point} must be strictly positive")
             if point in clean:

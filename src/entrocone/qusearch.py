@@ -41,14 +41,16 @@ on these counters:
 * completion - a realized fiber must still have enough points ahead of the
   frontier to reach its quota, and enough fresh values (with full quota
   still available ahead) must remain to reach the target count;
-* structure - optional hints, for the walk over cells: an extension of a
-  group of variables that leaves its target size unchanged forces a
-  functional dependence, so a point may join a realized fiber of the
-  group only inside the one joint fiber already realized there.  Only the
-  dependences that :func:`structural_hints` finds in the target are
-  accepted, since any other hint could prune every realization.  A hint is
-  a pair of subsets whose fibers are read from the block's own tuple; the
-  list is empty without hints, so hinted and plain runs share one path.
+* nested counts, for the walk over cells - for subsets a < b, each fiber
+  of a holds exactly ``m_b / m_a`` realized fibers of b, since it has
+  ``m_[n] / m_a`` points and each fiber of b in it has ``m_[n] / m_b``
+  (T. H. Chan, "A combinatorial approach to information inequalities",
+  Comm. Inf. Syst. 1(3), 2001); a point may not open a fiber of b inside
+  a fiber of a that already holds that many.  When b is a prefix
+  ``{1..k}`` the cell order implies the rule, as the fibers of b are runs
+  of cells that completion fills in turn, so those pairs are skipped.  The
+  case ``m_b = m_a`` is a functional dependence, so the optional hints of
+  :func:`search` prune nothing more.
 
 The walk over cells breaks symmetry by canonical relabeling: each
 variable's symbols must appear in increasing order of first use along the
@@ -59,8 +61,8 @@ relabeled invariant support is invariant under a conjugate of g, not
 under g, so the rule could cut every invariant support.  Orbit witnesses
 are therefore not relabel-canonical.
 
-The same spec, hints and budget always give the same outcome, node count
-and witness.
+The same spec and budget always give the same outcome, node count and
+witness.
 
 An oracle that enumerates every support of the right size (for small
 grids) provides an independent ground truth for validating the search.
@@ -296,11 +298,12 @@ class _Engine:
     index; an orbit meets fibers all over the grid, so each takes the next
     free slot when first met.  The full set's fibers hold no slot: their one
     live rule, enough blocks left for the points still needed, is a count in
-    :meth:`_advance`.  ``fd`` holds one ``(base, joint)`` pair of subset
-    indices per functional dependence hint: including a cell needs its
-    joint fiber realized whenever its base fiber is.  A hint joint to the
-    full set is dropped, as its base has quota 1 and the overflow rule
-    already rejects those placements.
+    :meth:`_advance`.  For the nested counts, ``nest[b]`` lists the
+    ``(a, m_b // m_a)`` pairs of b's checked subsets a, and the flat
+    ``nested`` array, indexed ``a_slot * nsub + b`` and grown beside
+    ``counts``, holds the fibers of b realized in each fiber of a; only a
+    fiber's opening and closing touch it.  The rule's caps would be in
+    orbit units, so ``nest`` is empty for orbits.
     :meth:`_extend` builds the per-block tables and slots in doubling chunks
     as the frontier reaches them.  :meth:`run` walks the tree in one loop
     and resumes a walk that it stopped at its node limit;
@@ -308,7 +311,7 @@ class _Engine:
     two branches of a block and their undo.
     """
 
-    def __init__(self, spec: SupportSpec, hints: Sequence[FunctionalDependence] = (), orbits: bool = False):
+    def __init__(self, spec: SupportSpec, orbits: bool = False):
         self.n = n = spec.n
         self.sizes = sizes = spec.alphabet_sizes()
         self.m_total = spec.total
@@ -353,9 +356,13 @@ class _Engine:
         self.relabel = 0 if orbits else n
         self.maxused = [i - nsub for i in range(n)]
         self.chosen: list[int] = []
-        sub_index = {a: k for k, a in enumerate(subsets)}
-        joints = [(h.base, h.base | h.extension) for h in hints]
-        self.fd = [(sub_index[base], sub_index[joint]) for base, joint in joints if joint in sub_index]
+        # the nested counts' pairs, none for a prefix b = {1..k}
+        self.nest = [
+            () if orbits or b == frozenset(range(1, len(b) + 1)) else
+            tuple((j, spec.m[b] // spec.m[a]) for j, a in enumerate(subsets) if a < b)
+            for b in subsets
+        ]
+        self.nested: list[int] = []
         self.block_fibers: list[tuple[tuple[int, int], ...]] = []
         # the walk: nodes visited, the frontier and the branch stack
         self.nodes = 0
@@ -386,6 +393,7 @@ class _Engine:
             ]
             # no cell of the chunk has a slot at or past hi * nsub
             self.counts += [0] * (self.nsub * (hi - lo))
+            self.nested += [0] * (self.nsub * self.nsub * (hi - lo))
             self.future += self.fiber_units * (hi - lo)
         else:
             firsts = [[b // d % r for b in range(lo, hi)] for d, r in self.radix]
@@ -462,14 +470,11 @@ class _Engine:
             c = counts[f]
             if c >= quota[a] or not c and realized[a] >= target[a]:
                 return None
-        for base, joint in self.fd:
-            if counts[fibers[base][1]] and not counts[fibers[joint][1]]:
-                return None
 
         # place the points and move the frontier in one pass: the points are
         # among those still needed and their fibers are not empty, so of
         # _advance's rules only the capacity rule applies
-        future, openable = self.future, self.openable
+        future, openable, nest, nested = self.future, self.openable, self.nest, self.nested
         ok = True
         for a, f in fibers:
             c = counts[f] + 1
@@ -481,6 +486,13 @@ class _Engine:
                 realized[a] += 1
                 if fu >= q - 1:
                     openable[a] -= 1
+                # nested counts: one more fiber of a inside the cell's fiber of each j < a
+                for j, cap in nest[a]:
+                    g = fibers[j][1] * nsub + a
+                    h = nested[g] + 1
+                    nested[g] = h
+                    if h > cap:
+                        ok = False
             if c < q and c + fu < q:
                 ok = False
         for i in bumps:
@@ -496,7 +508,9 @@ class _Engine:
         for i in bumps:
             self.maxused[i] -= self.nsub
         counts, future, quota, realized, openable = self.counts, self.future, self.quota, self.realized, self.openable
-        for a, f in self.block_fibers[ci]:
+        nest, nested, nsub = self.nest, self.nested, self.nsub
+        fibers = self.block_fibers[ci]
+        for a, f in fibers:
             fu = future[f] + 1
             future[f] = fu
             c = counts[f] - 1
@@ -505,6 +519,8 @@ class _Engine:
                 realized[a] -= 1
                 if fu >= quota[a]:
                     openable[a] += 1
+                for j, _ in nest[a]:
+                    nested[fibers[j][1] * nsub + a] -= 1
 
     # -- depth-first search --------------------------------------------------
 
@@ -592,14 +608,14 @@ def search(
     a support in its allowance.  Orbit nodes count toward
     ``budget.max_nodes`` and are reported as ``orbit_nodes``.
 
-    Deterministic: identical spec, hints and budget reproduce the same
-    outcome, node count and witness.
+    Deterministic: identical spec and budget reproduce the same outcome,
+    node count and witness.
 
     Every hint must be one of the functional dependences that
     ``structural_hints(spec.vector())`` returns, with frozenset fields;
-    any other hint raises ValueError, because it could prune every
-    realization and turn a feasible spec into a false EXHAUSTED_INFEASIBLE.
-    Hints apply to the walk over cells only.
+    any other hint raises ValueError.  A valid hint prunes nothing extra:
+    the nested counts already enforce every functional dependence, so
+    hints leave the outcome, node count and witness unchanged.
     """
     ok, witness = check_feasibility_necessary(spec)
     if not ok:
@@ -609,7 +625,7 @@ def search(
     budget = budget or Budget()
     start = time.monotonic()
     deadline = start + budget.max_seconds
-    engine = plain = _Engine(spec, hints)
+    engine = plain = _Engine(spec)
     status, support = plain.run(min(budget.max_nodes, _PHASE_NODES), deadline)
     orbit_nodes = 0
     if status is SearchStatus.BUDGET_EXCEEDED and budget.max_nodes > _PHASE_NODES:

@@ -34,6 +34,17 @@ def mkspec(n, values):
     return SupportSpec(n, dict(zip(canonical_order(n), values)))
 
 
+def truth_verdict(m):
+    """The verdict table's truth-map entry for an n = 3 spec: the map is
+    keyed by the least relabeling of the sizes, in canonical order."""
+    order = canonical_order(3)
+    relabeled = (
+        tuple(m[order.index(frozenset(perm[i - 1] for i in a))] for a in order)
+        for perm in itertools.permutations((1, 2, 3))
+    )
+    return VERDICTS["verdicts"][",".join(map(str, min(relabeled)))]
+
+
 F_SPEC = mkspec(3, [4, 4, 4, 16, 16, 16, 48])
 PARITY_SPEC = mkspec(3, [2, 2, 2, 4, 4, 4, 4])
 CANDIDATE_SPEC = mkspec(3, [9, 9, 6, 54, 54, 54, 216])
@@ -304,11 +315,12 @@ class TestSearch:
         outcome = search(PARITY_SPEC)
         assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == (SearchStatus.FOUND, 8 + 5, 5)
         assert outcome.pmf == plain.pmf
-        # a budget spent after an exhausted orbit phase is BUDGET_EXCEEDED
+        # a budget spent after an exhausted orbit phase is BUDGET_EXCEEDED;
+        # unbudgeted, this spec exhausts at 2,349 nodes over cells
         monkeypatch.undo()
-        outcome = search(mkspec(3, [4, 4, 4, 12, 8, 12, 24]), budget=Budget(max_nodes=2048 + 151 + 10))
+        outcome = search(mkspec(3, [5, 5, 5, 20, 20, 10, 40]), budget=Budget(max_nodes=2048 + 534 + 10))
         assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == (
-            SearchStatus.BUDGET_EXCEEDED, 2048 + 151 + 10 + 1, 151)
+            SearchStatus.BUDGET_EXCEEDED, 2048 + 534 + 10 + 1, 534)
 
     @pytest.mark.parametrize("left,right", [
         ([2, 2, 2, 4, 4, 4, 4], [3, 3, 3, 9, 9, 9, 18]),
@@ -330,31 +342,38 @@ class TestSearch:
 # and (status, nodes_explored, orbit_nodes) of search().  Parity and f, then
 # specs from perfbench/verdicts.json: fast and slow finds, exhausted ones and
 # the candidate.  The orbit phase runs on specs the walk over cells leaves
-# undecided at 2,048 nodes, unless a quota is not a whole number of units:
-# it is skipped on (3,5,5,15,15,15,30), where an orbit puts 3 points in each
-# fiber of 23 that it meets and the quota is 2.  It finds (4,4,4,12,12,12,24)
-# and the candidate, and exhausts on two infeasible specs, after which the
-# walk over cells decides.  Hints give the same counts on every row but
-# (5,5,5,15,15,5,15), where a functional dependence rejects placements and
-# the walk meets the same witness in 189 nodes, not 737 (HINTED).
+# undecided at 2,048 nodes; of these rows only the candidate, which it
+# finds.  (5,5,5,15,15,5,15) is where the nested counts' cap-1 case, a
+# functional dependence, rejects placements.  Hints prune nothing the
+# nested counts do not, so hinted and plain runs give the same counts.
 FOUND, EXHAUSTED, CAPPED = SearchStatus.FOUND, SearchStatus.EXHAUSTED_INFEASIBLE, SearchStatus.BUDGET_EXCEEDED
 NODE_COUNTS = [
     ([2, 2, 2, 4, 4, 4, 4], (FOUND, 8), (FOUND, 8, 0)),
     ([4, 4, 4, 16, 16, 16, 48], (FOUND, 76), (FOUND, 76, 0)),
     ([1, 3, 3, 3, 3, 6, 6], (FOUND, 11), (FOUND, 11, 0)),
     ([2, 2, 2, 2, 4, 4, 4], (FOUND, 9), (FOUND, 9, 0)),
-    ([3, 5, 5, 15, 15, 15, 30], (FOUND, 2957), (FOUND, 2957, 0)),
-    ([4, 4, 4, 12, 12, 12, 24], (FOUND, 5938), (FOUND, 2048 + 18, 18)),
+    ([3, 5, 5, 15, 15, 15, 30], (FOUND, 790), (FOUND, 790, 0)),
+    ([4, 4, 4, 12, 12, 12, 24], (FOUND, 732), (FOUND, 732, 0)),
     ([5, 5, 4, 20, 20, 20, 60], (FOUND, 16322), (FOUND, 16322, 0)),
-    ([3, 3, 3, 6, 6, 6, 12], (EXHAUSTED, 92), (EXHAUSTED, 92, 0)),
-    ([4, 4, 4, 12, 8, 12, 24], (EXHAUSTED, 2719), (EXHAUSTED, 2719 + 151, 151)),
-    ([5, 5, 5, 20, 20, 20, 80], (EXHAUSTED, 1655), (EXHAUSTED, 1655, 0)),
-    ([5, 5, 5, 10, 10, 10, 20], (EXHAUSTED, 14544), (EXHAUSTED, 14544 + 523, 523)),
+    ([3, 3, 3, 6, 6, 6, 12], (EXHAUSTED, 45), (EXHAUSTED, 45, 0)),
+    ([4, 4, 4, 12, 8, 12, 24], (EXHAUSTED, 282), (EXHAUSTED, 282, 0)),
+    ([5, 5, 5, 20, 20, 20, 80], (EXHAUSTED, 200), (EXHAUSTED, 200, 0)),
+    ([5, 5, 5, 10, 10, 10, 20], (EXHAUSTED, 539), (EXHAUSTED, 539, 0)),
     ([9, 9, 6, 54, 54, 54, 216], (CAPPED, 100_000), (FOUND, 2048 + 201, 201)),
     ([5, 5, 5, 15, 25, 25, 75], (FOUND, 166), (FOUND, 166, 0)),
-    ([5, 5, 5, 15, 15, 5, 15], (FOUND, 737), (FOUND, 737, 0)),
+    ([5, 5, 5, 15, 15, 5, 15], (FOUND, 189), (FOUND, 189, 0)),
 ]
-HINTED = {(5, 5, 5, 15, 15, 5, 15): ((FOUND, 189), (FOUND, 189, 0))}
+# The table rows that a 100,000-node search left capped before the nested
+# counts, with (nodes over cells, orbit nodes) of search(); the table's truth
+# map records each as infeasible.  One outlasts 2,048 nodes over cells, so
+# the orbit phase runs and exhausts before the walk over cells resumes.
+FORMERLY_CAPPED = [
+    ([5, 5, 5, 10, 15, 15, 30], 614, 0),
+    ([5, 5, 5, 10, 20, 20, 40], 2776, 364),
+    ([5, 5, 5, 15, 10, 15, 30], 737, 0),
+    ([5, 5, 5, 15, 15, 10, 30], 723, 0),
+    ([5, 5, 5, 15, 15, 15, 45], 425, 0),
+]
 
 
 class TestNodeCounts:
@@ -364,9 +383,7 @@ class TestNodeCounts:
         spec = mkspec(3, m)
         budget = Budget(max_nodes=100_000, max_seconds=600)
         hints = structural_hints(spec.vector()) if hinted else ()
-        if hinted:
-            walk, pinned = HINTED.get(tuple(m), (walk, pinned))
-        engine = _Engine(spec, hints)
+        engine = _Engine(spec)
         assert (engine.run(100_000, float("inf"))[0], engine.nodes) == walk
         outcome = search(spec, budget=budget, hints=hints)
         assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == pinned
@@ -375,40 +392,65 @@ class TestNodeCounts:
         if hinted:
             assert outcome.pmf == search(spec, budget=budget).pmf
 
+    def test_formerly_capped_rows_exhaust(self):
+        for m, cells, orbit_nodes in FORMERLY_CAPPED:
+            outcome = search(mkspec(3, m), Budget(max_nodes=100_000, max_seconds=600))
+            assert (outcome.status, outcome.nodes_explored, outcome.orbit_nodes) == (
+                EXHAUSTED, cells + orbit_nodes, orbit_nodes), m
+            assert truth_verdict(m) == EXHAUSTED.value
+
     def test_rejected_inclusion_leaves_no_trace(self):
-        # The capacity rule rejects a placement after its counters moved;
-        # the rejection must restore them exactly, or the leftover capacity
-        # weakens later pruning.
-        spec = mkspec(3, [5, 5, 5, 15, 25, 25, 75])
+        # The capacity and nested-count rules reject a placement after its
+        # counters moved; the rejection must restore them exactly, or the
+        # leftover capacity weakens later pruning.  The nested counts reject
+        # placements on the second spec only.
         rejected = []
 
         class Checked(_Engine):
             def _try_include(self, ci):
                 before = (list(self.counts), list(self.future), list(self.openable),
-                          list(self.realized), list(self.maxused), list(self.chosen))
+                          list(self.realized), list(self.nested), list(self.maxused), list(self.chosen))
                 bumps = super()._try_include(ci)
                 if bumps is None:
                     rejected.append(ci)
                     assert (self.counts, self.future, self.openable, self.realized,
-                            self.maxused, self.chosen) == before
+                            self.nested, self.maxused, self.chosen) == before
                 return bumps
 
-        engine = Checked(spec, structural_hints(spec.vector()))
-        status, _ = engine.run(100_000, float("inf"))
-        assert status is SearchStatus.FOUND and rejected
+        for m in ([5, 5, 5, 15, 25, 25, 75], [5, 5, 5, 15, 15, 5, 15]):
+            rejected.clear()
+            status, _ = Checked(mkspec(3, m)).run(100_000, float("inf"))
+            assert status is SearchStatus.FOUND and rejected
 
     def test_exhausted_search_restores_the_start_state(self):
         # both walks exhaust on this spec; the start state of the slots they
         # gave out is that of a fresh engine with as many blocks tabulated
         spec = mkspec(3, [4, 4, 4, 12, 8, 12, 24])
-        for hints, orbits in ((structural_hints(spec.vector()), False), ((), True)):
-            engine = _Engine(spec, hints, orbits)
+        for orbits in (False, True):
+            engine = _Engine(spec, orbits)
             assert engine.run(100_000, float("inf"))[0] is SearchStatus.EXHAUSTED_INFEASIBLE
-            fresh = _Engine(spec, hints, orbits)
+            fresh = _Engine(spec, orbits)
             while len(fresh.block_fibers) < len(engine.block_fibers):
                 fresh._extend()
-            for name in ("counts", "future", "openable", "realized", "maxused", "chosen"):
+            for name in ("counts", "future", "openable", "realized", "nested", "maxused", "chosen"):
                 assert getattr(engine, name) == getattr(fresh, name)
+
+
+class TestVerdictTable:
+    def test_search_decides_every_row_soundly(self):
+        # every spec of perfbench/verdicts.json at the table's budget: no row
+        # is capped, no status contradicts the truth map (settled at
+        # truth_nodes nodes), and every witness realizes its spec; the
+        # recorded statuses and node counts of the rows are not read
+        budget = Budget(max_nodes=VERDICTS["budget_nodes"], max_seconds=600)
+        for row in VERDICTS["specs"]:
+            spec = mkspec(3, row["m"])
+            outcome = search(spec, budget)
+            assert outcome.status is not CAPPED, row["m"]
+            assert truth_verdict(row["m"]) in ("unknown", outcome.status.value), row["m"]
+            if outcome.status is FOUND:
+                verdict = is_quasi_uniform(outcome.pmf)
+                assert verdict.is_qu and verdict.support_sizes == spec.m, row["m"]
 
 
 class TestOracle:
