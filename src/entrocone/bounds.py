@@ -24,7 +24,6 @@ from typing import Optional
 from .distributions import EntropyVector
 from .logexact import LogLinear, Sign
 from .polycone import ConicCertificate, FaceSpec, Ray, cone_membership
-from .subsets import Subset, canonical_order
 
 __all__ = [
     "BoundVerdict",
@@ -33,7 +32,6 @@ __all__ = [
     "THETA_FACE",
     "face_12_123p_entropic",
     "omega_in",
-    "qu_necessary",
     "ray123p_entropic",
     "theta_in",
 ]
@@ -134,15 +132,3 @@ def omega_in(h: EntropyVector) -> BoundVerdict:
     ceiling = _ceiling_condition(cert.coefficients[Ray.R12], cert.coefficients[Ray.R123P])
     natural = _natural_condition(cert.coefficients[Ray.R123P])
     return BoundVerdict(ceiling.holds or natural.holds, (ceiling, natural), cert)
-
-
-def qu_necessary(h: EntropyVector) -> Optional[dict[Subset, int]]:
-    """Support sizes implied by quasi-uniformity: every coordinate must be
-    the log of a natural number; returns the full map or None."""
-    out: dict[Subset, int] = {}
-    for alpha, coord in zip(canonical_order(h.n), h.coords):
-        m = coord.as_log_natural()
-        if m is None:
-            return None
-        out[alpha] = m
-    return out

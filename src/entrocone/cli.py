@@ -25,10 +25,9 @@ import json
 import os
 import re
 import sys
-import traceback
 from typing import Optional, Sequence
 
-from . import bounds, polycone, qusearch
+# only what every command uses: each command imports the rest itself
 from .distributions import (
     EntropyVector,
     JointPMF,
@@ -39,7 +38,7 @@ from .distributions import (
     serialize_pmf,
 )
 from .logexact import LogLinear, PrecisionExhausted
-from .subsets import canonical_order, subset_name
+from .subsets import MAX_VARS, canonical_order, subset_name
 
 EX_FALSE = 1
 EX_INCONCLUSIVE = 2
@@ -63,8 +62,8 @@ def parse_vector_json(obj) -> EntropyVector:
     if not isinstance(obj, dict) or "n" not in obj or "coords" not in obj:
         raise DataError("vector file must be an object with 'n' and 'coords'")
     n = obj["n"]
-    if type(n) is not int or not 1 <= n <= polycone.MAX_VARS:
-        raise DataError(f"variable count {n!r} outside the supported range 1..{polycone.MAX_VARS}")
+    if type(n) is not int or not 1 <= n <= MAX_VARS:
+        raise DataError(f"variable count {n!r} outside the supported range 1..{MAX_VARS}")
     order = canonical_order(n)
     if "order" in obj:
         expected = [subset_name(a) for a in order]
@@ -136,16 +135,16 @@ def _load_pmf(path: str) -> JointPMF:
         raise DataError(f"{path}: {exc}") from None
 
 
-_FACE_ALIASES = {
-    "theta": bounds.THETA_FACE,
-    "omega": bounds.OMEGA_FACE,
-    "full": polycone.FaceSpec(frozenset(polycone.RAY_ORDER)),
-}
+def _parse_face(name: str):
+    from . import polycone
 
+    alias = name.lower()
+    if alias in ("theta", "omega"):
+        from . import bounds
 
-def _parse_face(name: str) -> polycone.FaceSpec:
-    if name.lower() in _FACE_ALIASES:
-        return _FACE_ALIASES[name.lower()]
+        return bounds.THETA_FACE if alias == "theta" else bounds.OMEGA_FACE
+    if alias == "full":
+        return polycone.FaceSpec(frozenset(polycone.RAY_ORDER))
     try:
         rays = frozenset(polycone.ray_by_label(lbl) for lbl in name.split(",") if lbl)
     except ValueError as exc:
@@ -205,6 +204,8 @@ def _cmd_qu_check(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from . import polycone
+
     h = _load_vector(args.vector_file)
     verdict = polycone.in_gamma_n(h)
     report = {"command": "gamma", "n": h.n, "in_cone": verdict.in_cone}
@@ -219,6 +220,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import polycone
+
     h = _load_vector(args.vector_file)
     face = _parse_face(args.face)
     if h.n != 3:
@@ -235,6 +238,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_face(args) -> int:
+    from . import polycone
+
     h = _load_vector(args.vector_file)
     face = _parse_face(args.face)
     if h.n != 3:
@@ -252,6 +257,8 @@ def _cmd_face(args) -> int:
 
 
 def _cmd_inner(args) -> int:
+    from . import bounds
+
     h = _load_vector(args.vector_file)
     if h.n != 3:
         raise DataError("inner bounds are defined for 3-variable vectors")
@@ -265,6 +272,8 @@ def _cmd_inner(args) -> int:
 
 
 def _cmd_spec(args) -> int:
+    from . import qusearch
+
     h = _load_vector(args.vector_file)
     try:
         spec = qusearch.spec_from_vector(h)
@@ -280,8 +289,11 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import qusearch
+
+    limits = {"max_nodes": args.budget_nodes, "max_seconds": args.budget_seconds}
     try:
-        budget = qusearch.Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
+        budget = qusearch.Budget(**{k: v for k, v in limits.items() if v is not None})
     except ValueError as exc:
         raise UsageError(f"search budget: {exc}") from None
     # fail before the search on the common case; the write below catches the rest
@@ -324,6 +336,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_catalog(_args) -> int:
+    from . import polycone
+
     faces = polycone.face_catalogue()
     report = {
         "command": "catalog",
@@ -379,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="synthesize a quasi-uniform distribution")
     p.add_argument("spec_file")
-    p.add_argument("--budget-nodes", type=int, default=qusearch.Budget().max_nodes)
-    p.add_argument("--budget-seconds", type=float, default=qusearch.Budget().max_seconds)
+    # unset limits keep qusearch.Budget's defaults
+    p.add_argument("--budget-nodes", type=int)
+    p.add_argument("--budget-seconds", type=float)
     p.add_argument("--witness-out", metavar="FILE", help="also write the witness PMF to FILE")
     p.set_defaults(func=_cmd_search)
 
@@ -405,6 +420,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"entrocone: {exc}", file=sys.stderr)
         return EX_INCONCLUSIVE
     except Exception:  # a crash must not read as the negative verdict (1)
+        import traceback
+
         traceback.print_exc()
         return EX_SOFTWARE
 

@@ -37,7 +37,6 @@ __all__ = [
     "QUWitness",
     "entropy",
     "entropy_vector",
-    "independent_product",
     "is_quasi_uniform",
     "marginalize",
     "parse_pmf",
@@ -196,23 +195,6 @@ def is_quasi_uniform(pmf: JointPMF) -> QUVerdict:
                 return QUVerdict(False, witness=QUWitness(alpha, first_point, first_mass, point, p))
         sizes[alpha] = len(marg.mass)
     return QUVerdict(True, support_sizes=sizes)
-
-
-def independent_product(p: JointPMF, q: JointPMF) -> JointPMF:
-    """Variable-wise independent pairing of two PMFs over the same n.
-
-    Variable i of the result ranges over the product alphabet of the two
-    i-th variables (encoded as a*size_q + b); entropy vectors add.
-    """
-    if p.n != q.n:
-        raise PMFFormatError("independent product needs matching variable counts")
-    sizes = tuple(a * b for a, b in zip(p.alphabet_sizes, q.alphabet_sizes))
-    mass: dict[tuple[int, ...], Fraction] = {}
-    for xp, mp_ in p.mass.items():
-        for xq, mq in q.mass.items():
-            key = tuple(a * sq + b for a, b, sq in zip(xp, xq, q.alphabet_sizes))
-            mass[key] = mp_ * mq
-    return JointPMF(sizes, mass)
 
 
 # ---------------------------------------------------------------------------

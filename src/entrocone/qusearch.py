@@ -63,9 +63,6 @@ are therefore not relabel-canonical.
 
 The same spec and budget always give the same outcome, node count and
 witness.
-
-An oracle that enumerates every support of the right size (for small
-grids) provides an independent ground truth for validating the search.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, unique
 from fractions import Fraction
@@ -92,8 +88,8 @@ __all__ = [
     "SearchOutcome",
     "SearchStatus",
     "SupportSpec",
-    "brute_force_oracle",
     "check_feasibility_necessary",
+    "qu_necessary",
     "search",
     "spec_from_vector",
     "structural_hints",
@@ -190,10 +186,20 @@ def check_feasibility_necessary(spec: SupportSpec) -> tuple[bool, Optional[str]]
     return True, None
 
 
+def qu_necessary(h: EntropyVector) -> Optional[dict[Subset, int]]:
+    """Support sizes implied by quasi-uniformity: every coordinate must be
+    the log of a natural number; returns the full map or None."""
+    out: dict[Subset, int] = {}
+    for alpha, coord in zip(canonical_order(h.n), h.coords):
+        m = coord.as_log_natural()
+        if m is None:
+            return None
+        out[alpha] = m
+    return out
+
+
 def spec_from_vector(h: EntropyVector) -> Optional[SupportSpec]:
     """Lift a vector into a SupportSpec via the log-natural condition."""
-    from .bounds import qu_necessary  # local import: bounds depends on polycone only
-
     sizes = qu_necessary(h)
     if sizes is None:
         return None
@@ -219,8 +225,6 @@ class FunctionalDependence:
 def structural_hints(h: EntropyVector) -> tuple[FunctionalDependence, ...]:
     """The functional dependences of a log-natural target vector: every
     pair of disjoint groups with h_base = h_{base|ext}."""
-    from .bounds import qu_necessary
-
     sizes = qu_necessary(h)
     if sizes is None:
         raise ValueError("structural hints need a vector of logs of naturals")
@@ -642,35 +646,3 @@ def search(
     # a capped search also counts the visit that found the budget spent
     nodes = plain.nodes + orbit_nodes + (status is SearchStatus.BUDGET_EXCEEDED)
     return SearchOutcome(status, pmf, nodes, time.monotonic() - start, orbit_nodes)
-
-
-def brute_force_oracle(spec: SupportSpec, cap: int = 24) -> SearchOutcome:
-    """Exhaustively enumerate all supports of the target size on the grid.
-
-    Independent of the search engine: no propagation, no symmetry
-    breaking, just counting.  Grids above `cap` cells are rejected.
-    """
-    sizes = spec.alphabet_sizes()
-    grid = math.prod(sizes)
-    if grid > cap:
-        raise ValueError(f"grid of {grid} cells exceeds oracle cap {cap}")
-    order = canonical_order(spec.n)
-    total = spec.total
-    start = time.monotonic()
-    if total > grid:
-        return SearchOutcome(SearchStatus.EXHAUSTED_INFEASIBLE, None, 0, time.monotonic() - start)
-
-    cells = list(itertools.product(*[range(s) for s in sizes]))
-    # per subset: each cell's projection, and the number of values to hit
-    projections = [([tuple(cell[i - 1] for i in sorted(a)) for cell in cells], spec.m[a]) for a in order]
-    examined = 0
-    for combo in itertools.combinations(range(grid), total):
-        examined += 1
-        if all(
-            len(counts := Counter(row[ci] for ci in combo)) == target and len(set(counts.values())) == 1
-            for row, target in projections
-        ):
-            p = Fraction(1, total)
-            pmf = JointPMF(sizes, {cells[ci]: p for ci in combo})
-            return SearchOutcome(SearchStatus.FOUND, pmf, examined, time.monotonic() - start)
-    return SearchOutcome(SearchStatus.EXHAUSTED_INFEASIBLE, None, examined, time.monotonic() - start)

@@ -1,11 +1,20 @@
+import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+import time
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from entrocone.distributions import EntropyVector, JointPMF, parse_pmf
+from entrocone.distributions import EntropyVector, JointPMF, PMFFormatError, parse_pmf
 from entrocone.logexact import LogLinear
+from entrocone.qusearch import SearchOutcome, SearchStatus, SupportSpec
 from entrocone.subsets import canonical_order, subset_index_map
 
 
@@ -14,6 +23,13 @@ FIXTURES = resources.files("entrocone") / "fixtures"
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def run_subprocess(*argv, timeout=30, **kwargs):
+    """Run a fresh interpreter with ``argv``, importing this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
 
 
 @pytest.fixture(scope="session")
@@ -72,6 +88,55 @@ def permute_variables(pmf: JointPMF, perm) -> JointPMF:
     sizes = [pmf.alphabet_sizes[j] for j in slot]
     mass = {tuple(x[j] for j in slot): p for x, p in pmf.mass.items()}
     return JointPMF(sizes, mass)
+
+
+def independent_product(p: JointPMF, q: JointPMF) -> JointPMF:
+    """Variable-wise independent pairing of two PMFs over the same n.
+
+    Variable i of the result ranges over the product alphabet of the two
+    i-th variables (encoded as a*size_q + b); entropy vectors add.
+    """
+    if p.n != q.n:
+        raise PMFFormatError("independent product needs matching variable counts")
+    sizes = tuple(a * b for a, b in zip(p.alphabet_sizes, q.alphabet_sizes))
+    mass: dict[tuple[int, ...], Fraction] = {}
+    for xp, mp_ in p.mass.items():
+        for xq, mq in q.mass.items():
+            key = tuple(a * sq + b for a, b, sq in zip(xp, xq, q.alphabet_sizes))
+            mass[key] = mp_ * mq
+    return JointPMF(sizes, mass)
+
+
+def brute_force_oracle(spec: SupportSpec, cap: int = 24) -> SearchOutcome:
+    """Exhaustively enumerate all supports of the target size on the grid.
+
+    Independent of the search engine: no propagation, no symmetry
+    breaking, just counting.  Grids above `cap` cells are rejected.
+    """
+    sizes = spec.alphabet_sizes()
+    grid = math.prod(sizes)
+    if grid > cap:
+        raise ValueError(f"grid of {grid} cells exceeds oracle cap {cap}")
+    order = canonical_order(spec.n)
+    total = spec.total
+    start = time.monotonic()
+    if total > grid:
+        return SearchOutcome(SearchStatus.EXHAUSTED_INFEASIBLE, None, 0, time.monotonic() - start)
+
+    cells = list(itertools.product(*[range(s) for s in sizes]))
+    # per subset: each cell's projection, and the number of values to hit
+    projections = [([tuple(cell[i - 1] for i in sorted(a)) for cell in cells], spec.m[a]) for a in order]
+    examined = 0
+    for combo in itertools.combinations(range(grid), total):
+        examined += 1
+        if all(
+            len(counts := Counter(row[ci] for ci in combo)) == target and len(set(counts.values())) == 1
+            for row, target in projections
+        ):
+            p = Fraction(1, total)
+            pmf = JointPMF(sizes, {cells[ci]: p for ci in combo})
+            return SearchOutcome(SearchStatus.FOUND, pmf, examined, time.monotonic() - start)
+    return SearchOutcome(SearchStatus.EXHAUSTED_INFEASIBLE, None, examined, time.monotonic() - start)
 
 
 @pytest.fixture

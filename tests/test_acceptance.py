@@ -17,7 +17,6 @@ from entrocone.distributions import (
     EntropyVector,
     JointPMF,
     entropy_vector,
-    independent_product,
     is_quasi_uniform,
     parse_pmf,
 )
@@ -36,7 +35,6 @@ from entrocone.qusearch import (
     Budget,
     SearchStatus,
     SupportSpec,
-    brute_force_oracle,
     check_feasibility_necessary,
     search,
     spec_from_vector,
@@ -45,10 +43,12 @@ from entrocone.qusearch import (
 from entrocone.subsets import canonical_order
 
 from conftest import (
+    brute_force_oracle,
     candidate_vector,
     f_vector,
     fixture_text,
     g_vector,
+    independent_product,
     table2_pair_entropy,
     seeded_rng,
 )

@@ -7,13 +7,13 @@ from entrocone.bounds import (
     THETA_FACE,
     face_12_123p_entropic,
     omega_in,
-    qu_necessary,
     ray123p_entropic,
     theta_in,
 )
 from entrocone.distributions import EntropyVector
 from entrocone.logexact import LogLinear
 from entrocone.polycone import Ray, combination, cone_membership, in_gamma_n
+from entrocone.qusearch import qu_necessary
 
 from conftest import (
     candidate_vector,

@@ -1,15 +1,11 @@
 import json
-import os
 import resource
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from entrocone import cli, logexact
+from entrocone import logexact
 from entrocone.cli import (
     EX_DATAERR,
     EX_FALSE,
@@ -22,7 +18,7 @@ from entrocone.cli import (
 from entrocone.distributions import parse_pmf
 from entrocone.logexact import LogLinear, PrecisionExhausted
 
-from conftest import FIXTURES, g_vector, round_log3_2
+from conftest import FIXTURES, g_vector, round_log3_2, run_subprocess
 
 
 def fx(name: str) -> str:
@@ -33,13 +29,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
-
-
-def run_subprocess(*argv, timeout=30, **kwargs):
-    """Run a fresh interpreter with ``argv``, importing this checkout's ``src``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
 
 
 class TestVectorFiles:
@@ -397,7 +386,7 @@ class TestExitCodes:
         def crash(_h):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli.polycone, "in_gamma_n", crash)
+        monkeypatch.setattr("entrocone.polycone.in_gamma_n", crash)
         code = main(["gamma", fx("f.vec")])
         captured = capsys.readouterr()
         assert code == EX_SOFTWARE and captured.out == ""
@@ -407,7 +396,7 @@ class TestExitCodes:
         def exhausted(_h):
             raise PrecisionExhausted("unresolved")
 
-        monkeypatch.setattr(cli.polycone, "in_gamma_n", exhausted)
+        monkeypatch.setattr("entrocone.polycone.in_gamma_n", exhausted)
         code = main(["gamma", fx("f.vec")])
         captured = capsys.readouterr()
         assert code == EX_INCONCLUSIVE and captured.out == ""
@@ -540,9 +529,51 @@ def test_bad_input_is_usage_or_data_error(tmp_path, capsys, argv, content):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_import_runs_no_elimination():
+def loaded_modules(code: str, *argv: str) -> list[str]:
+    """The ``entrocone.*`` modules a fresh interpreter holds after ``code``."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('entrocone.'))))"
+    proc = run_subprocess("-c", probe, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_modules("import entrocone") == []
+
+
+# what each command loads beyond entrocone.cli and the modules it imports
+# at the top (distributions, logexact, subsets)
+COMMAND_MODULES = [
+    (["entropy", "table1.pmf"], []),
+    (["qu-check", "table1.pmf"], []),
+    (["gamma", "f.vec"], ["polycone"]),
+    (["catalog"], ["polycone"]),
+    (["decompose", "f.vec", "full"], ["polycone"]),
+    (["face", "f.vec", "full"], ["polycone"]),
+    (["decompose", "g.vec", "theta"], ["bounds", "polycone"]),
+    (["face", "g.vec", "omega"], ["bounds", "polycone"]),
+    (["inner", "g.vec", "omega"], ["bounds", "polycone"]),
+    (["spec", "f.vec"], ["polycone", "qusearch"]),
+    (["search", "spec_f.json", "--budget-nodes", "3000"], ["polycone", "qusearch"]),
+]
+
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES, ids=[" ".join(argv) for argv, _ in COMMAND_MODULES])
+def test_each_command_loads_only_its_modules(argv, extra):
+    code = (
+        "import contextlib, io, sys\n"
+        "from entrocone import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[1:]) in (0, 1), 'the command gave no verdict'\n"
+    )
+    args = [fx(a) if "." in a else a for a in argv]
+    base = ["cli", "distributions", "logexact", "subsets"]
+    assert loaded_modules(code, *args) == sorted(f"entrocone.{m}" for m in base + extra)
+
+
+def test_polycone_import_runs_no_elimination():
     # faces are computed from their generator sets on demand, so importing
-    # the CLI builds no face table and runs no Gauss-Jordan elimination
+    # polycone builds no face table and runs no Gauss-Jordan elimination
     probe = (
         "import sys\n"
         "calls = []\n"
@@ -550,13 +581,13 @@ def test_cli_import_runs_no_elimination():
         "    if event == 'call' and frame.f_code.co_name == '_eliminate':\n"
         "        calls.append(frame.f_code.co_filename)\n"
         "sys.setprofile(profile)\n"
-        "import entrocone.cli\n"
+        "import entrocone.polycone\n"
         "sys.setprofile(None)\n"
-        "print(len(calls), 'entrocone.polycone' in sys.modules)\n"
+        "print(len(calls))\n"
     )
     proc = run_subprocess("-c", probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 True"
+    assert proc.stdout.strip() == "0"
 
 
 def test_cli_import_skips_mpmath_and_multiprocessing():

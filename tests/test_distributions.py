@@ -13,7 +13,6 @@ from entrocone.distributions import (
     PMFFormatError,
     entropy,
     entropy_vector,
-    independent_product,
     is_quasi_uniform,
     marginalize,
     parse_pmf,
@@ -26,6 +25,7 @@ from conftest import (
     f_vector,
     fixture_text,
     g_vector,
+    independent_product,
     permute_variables,
     permute_vector,
     seeded_rng,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from entrocone import qusearch
-from entrocone.distributions import entropy_vector, independent_product, is_quasi_uniform
+from entrocone.distributions import entropy_vector, is_quasi_uniform
 from entrocone.logexact import LogLinear
 from entrocone.polycone import in_gamma_n
 from entrocone.qusearch import (
@@ -17,7 +17,6 @@ from entrocone.qusearch import (
     FunctionalDependence,
     SearchStatus,
     SupportSpec,
-    brute_force_oracle,
     check_feasibility_necessary,
     search,
     spec_from_vector,
@@ -25,7 +24,7 @@ from entrocone.qusearch import (
 )
 from entrocone.subsets import canonical_order, subset_name
 
-from conftest import candidate_vector, f_vector, g_vector, seeded_rng
+from conftest import brute_force_oracle, candidate_vector, f_vector, g_vector, independent_product, seeded_rng
 
 VERDICTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "verdicts.json").read_text())
 
