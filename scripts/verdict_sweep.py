@@ -4,13 +4,13 @@ the verdicts against the table.
     python3 scripts/verdict_sweep.py [--table perfbench/verdicts.json]
 
 Each spec runs twice at the table's node budget (`budget_nodes`): once
-plain and once with `structural_hints`, the path `entrocone search`
-takes.  The run fails (exit 1) when a definite verdict of either pass
-differs from the table: an EXHAUSTED_INFEASIBLE the table did not record,
-or a FOUND on a row recorded as infeasible.  A FOUND on a row the table
-left budget-capped passes once its witness is checked to be quasi-uniform
-with the target sizes.  A row the table decided that comes out
-budget-capped fails too.
+plain and once with `structural_hints`, through the library's
+`search(hints=)`.  The run fails (exit 1) when a definite verdict of
+either pass differs from the table: an EXHAUSTED_INFEASIBLE the table did
+not record, or a FOUND on a row recorded as infeasible.  A FOUND on a row
+the table left budget-capped passes once its witness is checked to be
+quasi-uniform with the target sizes.  A row the table decided that comes
+out budget-capped fails too.
 
 The table's `nodes` count the walk over cells alone, which `search` runs
 first, for up to 2,048 nodes, and resumes after the orbit phase if that

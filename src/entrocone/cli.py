@@ -302,23 +302,16 @@ def _cmd_search(args) -> int:
     try:
         spec = qusearch.SupportSpec.from_json(_load_json(args.spec_file))
         ok, witness = qusearch.check_feasibility_necessary(spec)
-        # the hints factor every size: one too large to factor is a data error
-        vector = spec.vector() if ok else None
     except ValueError as exc:
         raise DataError(f"{args.spec_file}: {exc}") from None
     if not ok:
         _emit({"command": "search", "status": "infeasible_necessary", "witness": witness})
         return EX_FALSE
-    hints = qusearch.structural_hints(vector)
-    outcome = qusearch.search(spec, budget=budget, hints=hints)
+    outcome = qusearch.search(spec, budget=budget)
     report = {
         "command": "search",
         "status": outcome.status.value,
         "nodes_explored": outcome.nodes_explored,
-        "hints": [
-            {"kind": "functionaldependence", "groups": sorted((subset_name(h.base), subset_name(h.extension)))}
-            for h in hints
-        ],
         "witness": serialize_pmf(outcome.pmf) if outcome.pmf else None,
     }
     if outcome.pmf is not None and args.witness_out:

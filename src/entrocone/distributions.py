@@ -19,11 +19,11 @@ mass.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .logexact import LogLinear, dot
@@ -54,15 +54,18 @@ class JointPMF:
     `common_denominator` is the lcm of the masses' denominators.
     """
 
-    __slots__ = ("n", "alphabet_sizes", "mass", "common_denominator", "__dict__")
+    __slots__ = ("n", "alphabet_sizes", "mass", "common_denominator")
 
     def __init__(self, alphabet_sizes: Sequence[int], mass: Mapping[tuple[int, ...], Fraction]):
-        sizes = tuple(int(s) for s in alphabet_sizes)
+        try:
+            sizes = tuple(map(operator.index, alphabet_sizes))
+            points = [(tuple(map(operator.index, x)), p) for x, p in mass.items()]
+        except TypeError:
+            raise PMFFormatError("alphabet sizes and support point coordinates must be integers") from None
         if not sizes or any(s < 1 for s in sizes):
             raise PMFFormatError("alphabet sizes must be positive")
         clean: dict[tuple[int, ...], Fraction] = {}
-        for point, p in mass.items():
-            point = tuple(map(int, point))
+        for point, p in points:
             if type(p) is not Fraction:
                 p = Fraction(p)
             if len(point) != len(sizes):
@@ -98,7 +101,7 @@ class JointPMF:
     def __repr__(self) -> str:
         return f"JointPMF(n={self.n}, sizes={self.alphabet_sizes}, support={len(self.mass)})"
 
-    @cached_property
+    @property
     def integer_counts(self) -> dict[tuple[int, ...], int]:
         """Masses as integers a_x over the common denominator."""
         N = self.common_denominator

@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import decimal
+import operator
 import re
 from enum import IntEnum, unique
 from fractions import Fraction
@@ -214,7 +215,7 @@ class LogLinear:
     def __init__(self, terms: Mapping[int, Fraction | int | str] = {}):
         canonical: dict[int, Fraction] = {}
         for p, q in terms.items():
-            p = int(p)
+            p = operator.index(p)
             q = Fraction(q)
             if q == 0:
                 continue

@@ -131,7 +131,7 @@ class SupportSpec:
         return EntropyVector(self.n, [LogLinear.from_log_int(self.m[a]) for a in canonical_order(self.n)])
 
     def to_json(self) -> dict:
-        return {"n": self.n, "m": {subset_name(a): v for a, v in sorted(self.m.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))}}
+        return {"n": self.n, "m": {subset_name(a): self.m[a] for a in canonical_order(self.n)}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SupportSpec":
@@ -615,11 +615,11 @@ def search(
     Deterministic: identical spec and budget reproduce the same outcome,
     node count and witness.
 
-    Every hint must be one of the functional dependences that
-    ``structural_hints(spec.vector())`` returns, with frozenset fields;
-    any other hint raises ValueError.  A valid hint prunes nothing extra:
-    the nested counts already enforce every functional dependence, so
-    hints leave the outcome, node count and witness unchanged.
+    ``hints``, kept only for perfbench's cli answer check and the hinted
+    pass of ``scripts/verdict_sweep.py``, must each be a functional
+    dependence of ``structural_hints(spec.vector())`` with frozenset
+    fields, or ValueError is raised.  They prune nothing: the nested counts
+    enforce every functional dependence.
     """
     ok, witness = check_feasibility_necessary(spec)
     if not ok:

@@ -165,6 +165,9 @@ class TestVectorCommands:
         assert code == EX_FALSE and report["spec"] is None
 
 
+_SEARCH_KEYS = {"command", "status", "nodes_explored", "witness"}
+
+
 class TestSearchCommand:
     def test_search_f_spec(self, capsys, tmp_path):
         out = tmp_path / "witness.pmf"
@@ -173,6 +176,7 @@ class TestSearchCommand:
             "--budget-seconds", "60", "--witness-out", str(out),
         )
         assert code == 0
+        assert report.keys() == _SEARCH_KEYS
         assert report["status"] == "found"
         pmf = parse_pmf(out.read_text())
         assert len(pmf.mass) == 48
@@ -208,8 +212,29 @@ class TestSearchCommand:
             "--budget-nodes", "2000", "--budget-seconds", "20",
         )
         assert code == EX_INCONCLUSIVE
+        assert report.keys() == _SEARCH_KEYS
         assert report["status"] == "budget_exceeded"
-        assert report["hints"] == []  # the candidate has no functional dependence
+
+    def test_search_exhausted(self, tmp_path, capsys):
+        # passes the necessary checks, yet no support realizes it
+        spec = tmp_path / "exhausted.json"
+        spec.write_text(json.dumps({"n": 3, "m": {
+            "1": 3, "2": 3, "3": 3, "12": 6, "13": 6, "23": 6, "123": 12,
+        }}))
+        code, report = run(capsys, "search", str(spec))
+        assert code == EX_FALSE
+        assert report.keys() == _SEARCH_KEYS
+        assert (report["status"], report["nodes_explored"], report["witness"]) == ("exhausted_infeasible", 45, None)
+
+    def test_search_size_too_large_to_factor_is_searched(self, tmp_path):
+        # the command factors no size, so one above the factoring cap is
+        # searched like any other
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps({"n": 1, "m": {"1": 3 * (2**89 - 1)}}))
+        proc = run_subprocess("-m", "entrocone.cli", "search", str(spec), "--budget-nodes", "10")
+        assert proc.returncode == EX_INCONCLUSIVE and "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["status"], report["nodes_explored"]) == ("budget_exceeded", 11)
 
     def test_search_infeasible_spec(self, tmp_path, capsys):
         spec = tmp_path / "bad.json"
@@ -219,7 +244,7 @@ class TestSearchCommand:
         assert "does not divide" in report["witness"]
 
     def test_search_infeasible_spec_with_size_too_large_to_factor(self, tmp_path, capsys):
-        # m_1 * m_2 < m_12 is decided on the sizes, before the hints factor them
+        # m_1 * m_2 < m_12 is decided on the integer sizes, none of them factored
         big = 3 * (2**89 - 1)
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"n": 2, "m": {"1": 2, "2": big, "12": 4 * big}}))
@@ -506,7 +531,8 @@ def _contract_cases():
             continue
         yield pytest.param([cmd], None, id=f"{cmd}-missing_argument")
         for case, content in _BAD_INPUTS[kind].items():
-            if (cmd, case) != ("qu-check", "above_factoring_cap"):  # the QU check factors nothing
+            # the QU check and the search factor nothing
+            if not (cmd in ("qu-check", "search") and case == "above_factoring_cap"):
                 yield pytest.param([cmd, BAD, *tail], content, id=f"{cmd}-{case}")
         if tail == ["omega"]:
             yield pytest.param([cmd, *good, "sigma"], None, id=f"{cmd}-unknown_face")

@@ -60,6 +60,17 @@ class TestJointPMF:
         with pytest.raises(PMFFormatError):
             JointPMF([2], {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)})  # sign
 
+    @pytest.mark.parametrize("sizes, point", [
+        ([2.7, 2], (0, 0)),
+        ([2.0, 2], (0, 0)),
+        ([2, 2], (0.9, 0)),
+        ([2, 2], (0.0, 0)),
+    ])
+    def test_rejects_float_size_or_coordinate(self, sizes, point):
+        # int() would truncate each float to a valid size or coordinate
+        with pytest.raises(PMFFormatError, match="must be integers"):
+            JointPMF(sizes, {point: Fraction(1)})
+
     def test_common_denominator(self, table1_pmf):
         assert table1_pmf.common_denominator == 48
         assert set(table1_pmf.integer_counts.values()) == {1}

@@ -76,6 +76,12 @@ class TestConstruction:
         # small prime factors are divided out before the cap applies
         assert LogLinear.from_log_int(2**100 * 3**5).terms == {2: 100, 3: 5}
 
+    @pytest.mark.parametrize("key", [2.9, 2.0, "2"])
+    def test_rejects_key_that_is_not_an_int(self, key):
+        # int() would read each of these as the prime 2
+        with pytest.raises((TypeError, ValueError)):
+            LogLinear({key: 1})
+
     def test_canonicalization_drops_zeros(self):
         assert LogLinear({2: Fraction(0), 3: Fraction(1)}).terms == {3: Fraction(1)}
 
