@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -55,7 +54,7 @@ class UsageError(Exception):
     """An argument the command cannot act on; mapped to exit code 64."""
 
 
-_SHORTHAND_RE = re.compile(r"^log\s+(\d+)\s*(?:/\s*(\d+))?$")
+_SHORTHAND_RE = re.compile(r"^log\s+([0-9]+)\s*(?:/\s*([0-9]+))?$")  # ASCII digits only
 
 
 def parse_vector_json(obj) -> EntropyVector:
@@ -154,11 +153,6 @@ def _parse_face(name: str):
     return polycone.FaceSpec(rays)
 
 
-def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def _vector_report(h: EntropyVector) -> dict:
     return {
         "n": h.n,
@@ -168,24 +162,32 @@ def _vector_report(h: EntropyVector) -> dict:
     }
 
 
+def _load_vector3(path: str) -> EntropyVector:
+    """A vector file for the commands defined on three variables only."""
+    h = _load_vector(path)
+    if h.n != 3:
+        raise DataError(f"{path}: this command is defined for 3-variable vectors, not n={h.n}")
+    return h
+
+
 # -- commands ----------------------------------------------------------------
+# Each returns (verdict, report), the verdict True, False or None (left open);
+# main adds "command", prints the report and maps the verdict to the exit code.
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> tuple[Optional[bool], dict]:
     pmf = _load_pmf(args.pmf_file)
     try:
         h = entropy_vector(pmf)
     except ValueError as exc:
         raise DataError(f"{args.pmf_file}: {exc}") from None
-    report = {"command": "entropy", **_vector_report(h)}
-    _emit(report)
-    return 0
+    return True, _vector_report(h)
 
 
-def _cmd_qu_check(args) -> int:
+def _cmd_qu_check(args) -> tuple[Optional[bool], dict]:
     pmf = _load_pmf(args.pmf_file)
     verdict = is_quasi_uniform(pmf)
-    report = {"command": "qu_check", "is_quasi_uniform": verdict.is_qu}
+    report = {"is_quasi_uniform": verdict.is_qu}
     if verdict.is_qu:
         report["support_sizes"] = {
             subset_name(a): verdict.support_sizes[a] for a in canonical_order(pmf.n)
@@ -199,79 +201,63 @@ def _cmd_qu_check(args) -> int:
             "point_b": list(w.point_b),
             "mass_b": str(w.mass_b),
         }
-    _emit(report)
-    return 0 if verdict.is_qu else EX_FALSE
+    return verdict.is_qu, report
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> tuple[Optional[bool], dict]:
     from . import polycone
 
     h = _load_vector(args.vector_file)
     verdict = polycone.in_gamma_n(h)
-    report = {"command": "gamma", "n": h.n, "in_cone": verdict.in_cone}
+    report = {"n": h.n, "in_cone": verdict.in_cone}
     if not verdict.in_cone:
         report["violated"] = {
             "name": verdict.violated.name,
             "coefficients": list(verdict.violated.coeffs),
             "value": verdict.value.to_json(),
         }
-    _emit(report)
-    return 0 if verdict.in_cone else EX_FALSE
+    return verdict.in_cone, report
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[Optional[bool], dict]:
     from . import polycone
 
-    h = _load_vector(args.vector_file)
+    h = _load_vector3(args.vector_file)
     face = _parse_face(args.face)
-    if h.n != 3:
-        raise DataError("conic decomposition requires a 3-variable vector")
     cert = polycone.cone_membership(h, face.generators)
-    report = {
-        "command": "decompose",
+    return cert is not None, {
         "face": list(face.labels()),
         "member": cert is not None,
         "certificate": cert.to_json() if cert else None,
     }
-    _emit(report)
-    return 0 if cert is not None else EX_FALSE
 
 
-def _cmd_face(args) -> int:
+def _cmd_face(args) -> tuple[Optional[bool], dict]:
     from . import polycone
 
-    h = _load_vector(args.vector_file)
+    h = _load_vector3(args.vector_file)
     face = _parse_face(args.face)
-    if h.n != 3:
-        raise DataError("face location requires a 3-variable vector")
     loc = polycone.strict_in_face(h, face)
-    report = {
-        "command": "face",
+    return loc.position is polycone.FacePosition.STRICTLY_INSIDE, {
         "face": list(face.labels()),
         "position": loc.position.value,
         "subface": list(loc.subface.labels()) if loc.subface else None,
         "certificate": loc.certificate.to_json() if loc.certificate else None,
     }
-    _emit(report)
-    return 0 if loc.position is polycone.FacePosition.STRICTLY_INSIDE else EX_FALSE
 
 
-def _cmd_inner(args) -> int:
+def _cmd_inner(args) -> tuple[Optional[bool], dict]:
     from . import bounds
 
-    h = _load_vector(args.vector_file)
-    if h.n != 3:
-        raise DataError("inner bounds are defined for 3-variable vectors")
+    h = _load_vector3(args.vector_file)
     try:
         verdict = bounds.theta_in(h) if args.bound == "theta" else bounds.omega_in(h)
     except ValueError as exc:
         raise DataError(f"{args.vector_file}: {exc}") from None
-    report = {"command": "inner", "bound": args.bound, **verdict.to_json()}
-    _emit(report)
-    return 0 if verdict.member else EX_FALSE
+    return verdict.member, {"bound": args.bound, **verdict.to_json()}
 
 
-def _cmd_spec(args) -> int:
+def _cmd_spec(args) -> tuple[Optional[bool], dict]:
     from . import qusearch
 
     h = _load_vector(args.vector_file)
@@ -279,16 +265,13 @@ def _cmd_spec(args) -> int:
         spec = qusearch.spec_from_vector(h)
     except ValueError as exc:
         raise DataError(f"{args.vector_file}: {exc}") from None
-    report = {
-        "command": "spec",
+    return spec is not None, {
         "liftable": spec is not None,
         "spec": spec.to_json() if spec else None,
     }
-    _emit(report)
-    return 0 if spec is not None else EX_FALSE
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[Optional[bool], dict]:
     from . import qusearch
 
     limits = {"max_nodes": args.budget_nodes, "max_seconds": args.budget_seconds}
@@ -296,49 +279,31 @@ def _cmd_search(args) -> int:
         budget = qusearch.Budget(**{k: v for k, v in limits.items() if v is not None})
     except ValueError as exc:
         raise UsageError(f"search budget: {exc}") from None
-    # fail before the search on the common case; the write below catches the rest
-    if args.witness_out and not os.path.isdir(os.path.dirname(args.witness_out) or "."):
-        raise UsageError(f"--witness-out {args.witness_out}: no such directory")
     try:
         spec = qusearch.SupportSpec.from_json(_load_json(args.spec_file))
         ok, witness = qusearch.check_feasibility_necessary(spec)
     except ValueError as exc:
         raise DataError(f"{args.spec_file}: {exc}") from None
     if not ok:
-        _emit({"command": "search", "status": "infeasible_necessary", "witness": witness})
-        return EX_FALSE
+        return False, {"status": "infeasible_necessary", "witness": witness}
     outcome = qusearch.search(spec, budget=budget)
-    report = {
-        "command": "search",
+    found = outcome.status is qusearch.SearchStatus.FOUND
+    spent = outcome.status is qusearch.SearchStatus.BUDGET_EXCEEDED
+    return None if spent else found, {
         "status": outcome.status.value,
         "nodes_explored": outcome.nodes_explored,
         "witness": serialize_pmf(outcome.pmf) if outcome.pmf else None,
     }
-    if outcome.pmf is not None and args.witness_out:
-        try:
-            with open(args.witness_out, "w", encoding="utf-8") as fh:
-                fh.write(serialize_pmf(outcome.pmf))
-        except OSError as exc:
-            raise UsageError(f"--witness-out: cannot write {args.witness_out}: {exc}") from None
-    _emit(report)
-    if outcome.status is qusearch.SearchStatus.FOUND:
-        return 0
-    if outcome.status is qusearch.SearchStatus.BUDGET_EXCEEDED:
-        return EX_INCONCLUSIVE
-    return EX_FALSE
 
 
-def _cmd_catalog(_args) -> int:
+def _cmd_catalog(_args) -> tuple[Optional[bool], dict]:
     from . import polycone
 
     faces = polycone.face_catalogue()
-    report = {
-        "command": "catalog",
+    return True, {
         "count": len(faces),
         "faces": [f.to_json() for f in faces],
     }
-    _emit(report)
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -389,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     # unset limits keep qusearch.Budget's defaults
     p.add_argument("--budget-nodes", type=int)
     p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--witness-out", metavar="FILE", help="also write the witness PMF to FILE")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("catalog", help="the canonical proper faces holding non-entropy vectors")
@@ -402,7 +366,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        verdict, report = args.func(args)
+        json.dump({"command": args.command.replace("-", "_"), **report}, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     except UsageError as exc:
         print(f"entrocone: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -417,6 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         traceback.print_exc()
         return EX_SOFTWARE
+    return {True: 0, False: EX_FALSE, None: EX_INCONCLUSIVE}[verdict]
 
 
 if __name__ == "__main__":

@@ -209,10 +209,11 @@ def is_quasi_uniform(pmf: JointPMF) -> QUVerdict:
 #   0 1 2 : 1/48        (or named symbols where a names line was given)
 # ---------------------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"^pmf\s+n=(\d+)\s+sizes=([0-9,]+)\s*$")
-_NAMES_RE = re.compile(r"^names\s+(\d+)=(\S+)\s*$")
-_MASS_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-# ASCII only: str.isdigit also holds for "²", which int() rejects
+# ASCII digits only: \d and str.isdigit also match digits such as "١"
+# (Arabic-Indic one) and "²", and int() reads the first
+_HEADER_RE = re.compile(r"^pmf\s+n=([0-9]+)\s+sizes=([0-9,]+)\s*$")
+_NAMES_RE = re.compile(r"^names\s+([0-9]+)=(\S+)\s*$")
+_MASS_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 _INDEX_RE = re.compile(r"[+-]?[0-9]+")
 
 

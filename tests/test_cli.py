@@ -15,8 +15,9 @@ from entrocone.cli import (
     main,
     parse_vector_json,
 )
-from entrocone.distributions import parse_pmf
+from entrocone.distributions import is_quasi_uniform, parse_pmf
 from entrocone.logexact import LogLinear, PrecisionExhausted
+from entrocone.subsets import subset_name
 
 from conftest import FIXTURES, g_vector, round_log3_2, run_subprocess
 
@@ -169,28 +170,17 @@ _SEARCH_KEYS = {"command", "status", "nodes_explored", "witness"}
 
 
 class TestSearchCommand:
-    def test_search_f_spec(self, capsys, tmp_path):
-        out = tmp_path / "witness.pmf"
-        code, report = run(
-            capsys, "search", fx("spec_f.json"),
-            "--budget-seconds", "60", "--witness-out", str(out),
-        )
+    def test_search_f_spec(self, capsys):
+        code, report = run(capsys, "search", fx("spec_f.json"), "--budget-seconds", "60")
         assert code == 0
         assert report.keys() == _SEARCH_KEYS
         assert report["status"] == "found"
-        pmf = parse_pmf(out.read_text())
+        pmf = parse_pmf(report["witness"])
         assert len(pmf.mass) == 48
-        assert report["witness"] == out.read_text()
-
-    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
-    def test_unwritable_witness_out_is_usage_error(self, tmp_path, capsys, where):
-        # a missing directory is caught before the search, a path that
-        # cannot be opened for writing when the witness is written
-        out = tmp_path / "missing" / "w.pmf" if where == "missing_directory" else tmp_path
-        code = main(["search", fx("spec_f.json"), "--witness-out", str(out)])
-        captured = capsys.readouterr()
-        assert code == EX_USAGE and captured.out == ""
-        assert "--witness-out" in captured.err
+        qu = is_quasi_uniform(pmf)
+        assert qu.is_qu
+        sizes = {subset_name(a): m for a, m in qu.support_sizes.items()}
+        assert sizes == json.loads((FIXTURES / "spec_f.json").read_text())["m"]
 
     @pytest.mark.parametrize("flag, value", [
         ("--budget-nodes", "-5"),
@@ -318,6 +308,17 @@ class TestCatalogAndUsage:
         assert code == EX_DATAERR
         assert report is None
 
+    def test_three_variable_commands_reject_other_n(self, tmp_path, capsys):
+        vec = tmp_path / "n2.vec"
+        vec.write_text(json.dumps({"n": 2, "coords": ["log 2", "log 2", "log 4"]}))
+        for argv in (["decompose", str(vec), "omega"], ["face", str(vec), "theta"], ["inner", str(vec), "omega"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == EX_DATAERR and captured.out == ""
+            assert "3-variable" in captured.err
+        code, report = run(capsys, "gamma", str(vec))
+        assert code == 0 and report["in_cone"]
+
     def test_deterministic_flag_is_gone(self):
         for flags in (["--deterministic"], ["--parallel", "2"], ["--no-hints"]):
             with pytest.raises(SystemExit) as exc:
@@ -417,6 +418,16 @@ class TestExitCodes:
         assert code == EX_SOFTWARE and captured.out == ""
         assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
+    def test_failed_report_write_is_internal_error(self, monkeypatch, capsys):
+        def fail(*_args, **_kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", fail)
+        code = main(["gamma", fx("f.vec")])
+        captured = capsys.readouterr()
+        assert code == EX_SOFTWARE and captured.out == ""
+        assert "OSError: no space left on device" in captured.err
+
     def test_precision_exhausted_is_inconclusive(self, monkeypatch, capsys):
         def exhausted(_h):
             raise PrecisionExhausted("unresolved")
@@ -463,6 +474,10 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         "n7": "pmf n=7 sizes=1,1,1,1,1,1,1\n0 0 0 0 0 0 0 : 1/1\n",
         "zero_denominator": "pmf n=3 sizes=1,1,2\n0 0 0 : 1/2\n0 0 1 : 1/0\n",
         "non_ascii_digit": "pmf n=1 sizes=2\n\u00b2 : 1/2\n1 : 1/2\n".encode(),  # "\u00b2".isdigit() holds
+        # \d matches "\u0661" (Arabic-Indic one), and int() reads it as 1
+        "non_ascii_mass": "pmf n=1 sizes=2\n0 : \u0661/\u0662\n1 : 1/2\n".encode(),
+        "non_ascii_n": "pmf n=\u0661 sizes=2\n0 : 1/2\n1 : 1/2\n".encode(),
+        "non_ascii_names_index": "pmf n=1 sizes=2\nnames \u0661=a,b\na : 1/2\nb : 1/2\n".encode(),
     },
     "vec": {
         "missing_file": None,
@@ -483,6 +498,8 @@ _BAD_INPUTS = {  # file kind: {bad-input class: file content, None for no file}
         "repeated_key": '{"n": 3, ' + json.dumps({"n": 3, "coords": _VEC_COORDS})[1:],
         "repeated_prime": _vec_with_first({"log_terms": {"2": "1/1"}}).replace('"2": "1/1"', '"2": "1/1", "2": "5/1"'),
         "prime_not_in_ascii_digits": _vec_with_first({"log_terms": {"1_1": "1/1"}}),  # int() reads log 11
+        "non_ascii_shorthand": _vec_with_first("log \u0662"),
+        "non_ascii_shorthand_denominator": _vec_with_first("log 4/\u0662"),
         # coefficients of 2**1024 or more: a violated inequality whose value
         # had a 4,401-digit denominator could not be printed (exit 70), and
         # h1 = 10**2500 log 2 - round(10**2500 log_3 2) log 3 took gamma 13 s
@@ -526,22 +543,24 @@ _COMMANDS = {  # command: (input file kind, arguments after the file)
 def _contract_cases():
     for cmd, (kind, tail) in _COMMANDS.items():
         good = [fx(_GOOD_INPUT[kind])] if kind else []
-        yield pytest.param([cmd, *good, *tail, "--bogus"], None, id=f"{cmd}-unknown_flag")
+        yield pytest.param([cmd, *good, *tail, "--bogus"], None, EX_USAGE, id=f"{cmd}-unknown_flag")
         if kind is None:
             continue
-        yield pytest.param([cmd], None, id=f"{cmd}-missing_argument")
+        yield pytest.param([cmd], None, EX_USAGE, id=f"{cmd}-missing_argument")
         for case, content in _BAD_INPUTS[kind].items():
             # the QU check and the search factor nothing
             if not (cmd in ("qu-check", "search") and case == "above_factoring_cap"):
-                yield pytest.param([cmd, BAD, *tail], content, id=f"{cmd}-{case}")
-        if tail == ["omega"]:
-            yield pytest.param([cmd, *good, "sigma"], None, id=f"{cmd}-unknown_face")
+                yield pytest.param([cmd, BAD, *tail], content, EX_DATAERR, id=f"{cmd}-{case}")
+        if tail == ["omega"]:  # an unknown bound fails argparse (64), an unknown face is data (65)
+            code = EX_USAGE if cmd == "inner" else EX_DATAERR
+            yield pytest.param([cmd, *good, "sigma"], None, code, id=f"{cmd}-unknown_face")
 
 
-@pytest.mark.parametrize("argv, content", list(_contract_cases()))
-def test_bad_input_is_usage_or_data_error(tmp_path, capsys, argv, content):
-    # exit 1 is the negative verdict and nothing else: every bad input is a
-    # usage error (64) or a data error (65), with no report on stdout
+@pytest.mark.parametrize("argv, content, expected", list(_contract_cases()))
+def test_bad_input_is_usage_or_data_error(tmp_path, capsys, argv, content, expected):
+    # exit 1 is the negative verdict and nothing else: a bad argument is a
+    # usage error (64), a bad input file a data error (65), with no report
+    # on stdout
     path = tmp_path / "input"
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -551,7 +570,7 @@ def test_bad_input_is_usage_or_data_error(tmp_path, capsys, argv, content):
         code = main([str(path) if arg is BAD else arg for arg in argv])
     except SystemExit as exc:
         code = exc.code
-    assert code in (EX_USAGE, EX_DATAERR)
+    assert code == expected
     assert capsys.readouterr().out == ""
 
 

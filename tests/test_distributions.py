@@ -261,6 +261,15 @@ class TestFileFormat:
             parse_pmf(text)
         assert fragment in str(exc.value)
 
+    def test_non_ascii_digits_rejected(self):
+        # \d and int() also read "١" (Arabic-Indic one) as 1
+        text = "pmf n=1 sizes=2\nnames 1=a,b\na : 1/2\nb : 1/2\n"
+        assert len(parse_pmf(text).mass) == 2
+        for old, new in [("n=1", "n=١"), ("names 1", "names ١"),
+                         ("a : 1/2", "a : ١/2"), ("b : 1/2", "b : 1/٢")]:
+            with pytest.raises(PMFFormatError):
+                parse_pmf(text.replace(old, new))
+
     def test_named_symbols_match_indices(self):
         # names lines map each letter to its index: the fixture, and the same
         # text with its names lines dropped and every letter replaced by its
