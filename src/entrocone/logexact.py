@@ -21,7 +21,9 @@ never consult the thread's current context.  ``Context.ln`` and
 ``Context.exp`` are correctly rounded to nearest whatever the context's
 rounding mode, so the true value lies strictly between the neighbours of
 the result; each ``ln p`` and the final ``exp`` are therefore widened by
-one unit in the last place (``next_minus``/``next_plus``).  Every other
+one unit in the last place (``next_minus``/``next_plus``).  The contexts
+and each widened ``ln p`` pair are memoized per precision in bounded
+caches; a cached end is the one a fresh context computes.  Every other
 step (scaling by a coefficient's numerator and denominator, summing) is
 rounded outward, in a ``ROUND_FLOOR`` context for the lower end and a
 ``ROUND_CEILING`` context for the upper.  The ends are converted to
@@ -45,6 +47,7 @@ Python's int-to-str digit limit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import decimal
@@ -107,6 +110,7 @@ _FACTOR_CAP = 1 << 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+@functools.lru_cache(maxsize=1024)
 def _is_prime(n: int) -> bool:
     return n > 1 and _factorize(n) == {n: 1}
 
@@ -193,6 +197,7 @@ def _factorize(m: int) -> dict[int, int]:
     return factors
 
 
+@functools.lru_cache
 def _contexts(prec: int) -> tuple[decimal.Context, decimal.Context, decimal.Context]:
     """Nearest, floor and ceiling decimal contexts for ``prec`` bits."""
     digits = math.ceil(prec * math.log10(2)) + 2
@@ -201,6 +206,21 @@ def _contexts(prec: int) -> tuple[decimal.Context, decimal.Context, decimal.Cont
         decimal.Context(prec=digits, rounding=mode, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=traps)
         for mode in (decimal.ROUND_HALF_EVEN, decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _ln_bounds(p: int, prec: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """The neighbours below and above ``ln p`` rounded to nearest at ``prec`` bits."""
+    near = _contexts(prec)[0]
+    ln = near.ln(p)
+    return near.next_minus(ln), near.next_plus(ln)
+
+
+def _fraction(q) -> Fraction:
+    """``Fraction(q)``, but a string must match ``_COEFF_RE``."""
+    if isinstance(q, str) and not _COEFF_RE.fullmatch(q):
+        raise ValueError(f"coefficient {q!r} must be an integer or 'num/den'")
+    return Fraction(q)
 
 
 class LogLinear:
@@ -216,7 +236,8 @@ class LogLinear:
         canonical: dict[int, Fraction] = {}
         for p, q in terms.items():
             p = operator.index(p)
-            q = Fraction(q)
+            if type(q) is not Fraction:
+                q = _fraction(q)
             if q == 0:
                 continue
             if not _is_prime(p):
@@ -296,8 +317,7 @@ class LogLinear:
         near, down, up = _contexts(prec)
         lo = hi = decimal.Decimal(0)
         for p, q in self._terms:
-            ln = near.ln(p)
-            ln_lo, ln_hi = near.next_minus(ln), near.next_plus(ln)
+            ln_lo, ln_hi = _ln_bounds(p, prec)
             if q < 0:
                 ln_lo, ln_hi = ln_hi, ln_lo
             lo = down.add(lo, down.divide(down.multiply(ln_lo, q.numerator), q.denominator))
@@ -475,10 +495,10 @@ def _format_scaled(scaled: int, digits: int) -> str:
 def dot(coeffs: Iterable, values: Iterable[LogLinear]) -> LogLinear:
     """The rational combination ``sum_i c_i * v_i``, built once: the maps
     are summed per prime into one dict and one :class:`LogLinear` is built.
-    Coefficients are anything :class:`~fractions.Fraction` accepts."""
+    Coefficients are read by ``_fraction``: a string must match ``_COEFF_RE``."""
     merged: dict[int, Fraction] = {}
     for c, v in zip(coeffs, values):
-        c = Fraction(c)
+        c = _fraction(c)
         if c:
             for p, q in v._terms:
                 merged[p] = merged.get(p, 0) + c * q

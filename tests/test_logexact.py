@@ -82,6 +82,14 @@ class TestConstruction:
         with pytest.raises((TypeError, ValueError)):
             LogLinear({key: 1})
 
+    @pytest.mark.parametrize("coeff", ["1e200000000", "0.5", " 1/2", "١"])
+    def test_rejects_coefficient_string_that_is_not_num_den(self, coeff):
+        # Fraction would read "1e200000000" as a 200-million-digit integer
+        with pytest.raises(ValueError, match="must be an integer or 'num/den'"):
+            LogLinear({2: coeff})
+        with pytest.raises(ValueError, match="must be an integer or 'num/den'"):
+            dot([coeff], [LogLinear({3: 1})])
+
     def test_canonicalization_drops_zeros(self):
         assert LogLinear({2: Fraction(0), 3: Fraction(1)}).terms == {3: Fraction(1)}
 
@@ -511,3 +519,67 @@ class TestAntilogCap:
     def test_huge_exponents_rejected(self, v, method):
         with pytest.raises(ValueError, match="antilog"):
             getattr(v, method)()
+
+
+def clear_caches():
+    for cache in (logexact._contexts, logexact._ln_bounds, logexact._is_prime):
+        cache.cache_clear()
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    return [p for p in range(max(lo, 2), hi) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+class TestCaches:
+    def test_cached_ln_ends_match_a_fresh_context(self):
+        for prec in (64 << k for k in range(7)):
+            digits = math.ceil(prec * math.log10(2)) + 2
+            for p in primes_between(2, 100):
+                near = decimal.Context(
+                    prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+                )
+                ln = near.ln(p)
+                assert logexact._ln_bounds(p, prec) == (near.next_minus(ln), near.next_plus(ln))
+
+    def test_enclosures_unchanged_by_clearing_the_caches(self):
+        rng = seeded_rng("cached-enclosures")
+        values = [random_loglinear(rng, primes=(2, 3, 5, 7, 11, 13)) for _ in range(500)]
+        warm = [v._enclosure(_PREC_START) for v in values]
+        fresh = []
+        for v in values:
+            clear_caches()
+            fresh.append(v._enclosure(_PREC_START))
+        assert fresh == warm
+
+    def test_caches_filled_under_a_hostile_context(self):
+        b = round_log3_2(2**90)
+
+        def answers():
+            # the last value needs refinement past the first precision
+            values = [LogLinear({2: 1054, 3: -665}), table2_pair_entropy()]
+            return [(v.sign(), v.approx_bits(6), v.approx_exp(6)) for v in values] + [LogLinear({2: 2**90, 3: -b}).sign()]
+
+        expected = answers()
+        # with the caches empty, every context, ln p pair and primality test
+        # is first computed inside the caller's context
+        clear_caches()
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.rounding, ctx.Emax = 3, decimal.ROUND_UP, 10
+            ctx.traps[decimal.Inexact] = True
+            assert answers() == expected
+
+    def test_caches_stay_bounded(self):
+        primes = primes_between(1009, 20_000)[:2000]
+        assert len(primes) == 2000
+        for p in primes:
+            assert LogLinear({p: 1}).sign() == Sign.POSITIVE
+        for cache in (logexact._ln_bounds, logexact._is_prime):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+        # refinement doubles 64 bits up to at most 2**16: 11 precisions
+        assert LogLinear({2: 2**90, 3: -round_log3_2(2**90)}).sign() == Sign.NEGATIVE
+        assert logexact._contexts.cache_info().currsize <= 11
+        # a failed primality test is not cached: it raises every time
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too large"):
+                LogLinear({2**89 - 1: 1})
